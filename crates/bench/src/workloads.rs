@@ -253,7 +253,7 @@ const VIEWMEMO_FLIPS: u32 = 50_000;
 
 /// The real-VM dispatch-engine ablation program: a hot virtual-call
 /// loop whose every get/set/call site is monomorphic — exactly the
-/// shape superinstruction fusion and IC-guided quickening exist for.
+/// shape superinstruction fusion exists for.
 pub fn vm_dispatch_source(iters: u32) -> String {
     format!(
         "class A {{
@@ -293,20 +293,14 @@ fn dispatch_suite() -> Vec<Workload> {
             }),
         ));
     }
-    // The bytecode VM's dispatch-engine ablation: one program, the
-    // fusion/quickening stages toggled pairwise, so the pinned baseline
-    // records the win each stage contributes.
+    // The bytecode VM's dispatch-engine ablation: one program, fused
+    // and unfused, so the pinned baseline records what fusion
+    // contributes.
     let src = vm_dispatch_source(VM_DISPATCH_ITERS);
-    for (label, fuse, quicken) in [
-        ("engine", true, true),
-        ("nofuse", false, true),
-        ("noquicken", true, false),
-        ("generic", false, false),
-    ] {
+    for (label, fuse) in [("engine", true), ("generic", false)] {
         let compiled = Compiler::new()
             .with_backend(Backend::Vm)
             .with_fusion(fuse)
-            .with_quickening(quicken)
             .compile(&src)
             .expect("vm_dispatch compiles");
         // Force the one-time lowering out of the timed region.

@@ -78,12 +78,10 @@ pub struct Stats {
     /// Superinstructions fused at lowering time (VM backend only; like
     /// `folded`, a property of the compiled program).
     pub fused: u64,
-    /// Sites rewritten into their quickened form after staying
-    /// monomorphic (VM backend only; counts install events, so a site
-    /// that de-quickens and re-quickens counts each time).
+    /// Always 0: the VM has no quickening stage. Kept only because the
+    /// stand-alone `perfbench` package still reads it.
     pub quickened: u64,
-    /// Quickened sites restored to their generic form by a view-guard
-    /// failure (VM backend only).
+    /// Always 0, like [`Stats::quickened`] and for the same reason.
     pub dequickened: u64,
     /// Minor (nursery) collections run by the shared heap (0 unless a
     /// `--nursery` is configured alongside a heap limit).
@@ -119,8 +117,6 @@ impl Stats {
         // keeps the program-wide count instead of summing it.
         self.folded = self.folded.max(other.folded);
         self.fused = self.fused.max(other.fused);
-        self.quickened += other.quickened;
-        self.dequickened += other.dequickened;
         self.minor_runs += other.minor_runs;
         self.major_runs += other.major_runs;
         self.promoted += other.promoted;

@@ -4,9 +4,8 @@
 //! consume offline: the flat runtime counters, per-chunk executed-
 //! instruction counts, per-site inline-cache hit/miss attribution, and
 //! any latency histograms the producing layer collected. The JSON layout
-//! is versioned ([`PROFILE_SCHEMA`]) and key order is stable, so the
-//! IC-guided quickening pass (ROADMAP item 3) and the bench trajectory
-//! can parse profiles from older commits.
+//! is versioned ([`PROFILE_SCHEMA`]) and key order is stable, so offline
+//! tools and the bench trajectory can parse profiles from older commits.
 //!
 //! Schema (`jns-profile/1`):
 //!
@@ -52,7 +51,7 @@ pub struct IcSiteProfile {
     /// Misses (resolutions through the global tables).
     pub misses: u64,
     /// Distinct receiver views cached (polymorphism degree; a site with
-    /// `entries == 1` and a cold miss count is a quickening candidate).
+    /// `entries == 1` is monomorphic, so a hit is one view compare).
     pub entries: u32,
 }
 

@@ -200,49 +200,6 @@ pub enum Instr {
         /// Inline-cache id.
         ic: u32,
     },
-
-    // --- quickened forms (IC-guided; installed *per VM* at run time) ---
-    //
-    // Never present in a compiled `VmProgram`: when a site's inline cache
-    // stays monomorphic long enough, the VM rewrites its private copy of
-    // the chunk (`VmProgram` is shared across serve workers and stays
-    // untouched) into one of these, which guard only the receiver view
-    // and otherwise go straight to the resolved slot/chunk. A guard
-    // failure restores the generic instruction (de-quickening).
-    /// Quickened `GetField`: `q` indexes the VM's quick table.
-    GetFieldQ {
-        /// Quick-table entry (holds expected view + resolved read path).
-        q: u32,
-    },
-    /// Quickened `LoadGetField`.
-    LoadGetFieldQ {
-        /// Frame slot of the receiver.
-        slot: u16,
-        /// Quick-table entry.
-        q: u32,
-    },
-    /// Quickened `SetField` (only installed when the receiver local is in
-    /// scope).
-    SetFieldQ {
-        /// Frame slot of the receiver.
-        local: u16,
-        /// Quick-table entry (expected view + resolved write path).
-        q: u32,
-    },
-    /// Quickened `Call` (arity pre-validated at quickening time).
-    CallQ {
-        /// Number of arguments.
-        argc: u16,
-        /// Quick-table entry (expected view + target chunk).
-        q: u32,
-    },
-    /// Quickened `LoadCall`.
-    LoadCallQ {
-        /// Frame slot of the receiver.
-        slot: u16,
-        /// Quick-table entry.
-        q: u32,
-    },
 }
 
 /// A compiled body: `main`, one method, or one field initialiser.

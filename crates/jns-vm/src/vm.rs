@@ -44,12 +44,6 @@ use std::sync::Arc;
 /// megamorphic (falling through to the global tables).
 const IC_CAP: usize = 8;
 
-/// A get/set/call site quickens after this many *consecutive* same-view
-/// resolutions. High enough that short warm-up phases (and the pinned
-/// hit/miss equalities in the test suite) never quicken, low enough that
-/// any hot loop quickens almost immediately.
-const QUICKEN_AFTER: u32 = 16;
-
 /// The union field layout of one sharing group: every field copy
 /// `(fclass-owner, field)` of every partner gets a fixed slot.
 #[derive(Debug)]
@@ -109,45 +103,11 @@ enum Flow {
     Next,
     /// `pc` was rewritten within the same chunk (a taken jump).
     Jump,
-    /// The activation changed (call, return) or its instruction stream
-    /// was rewritten (quickening): `pc` is already correct, reload the
-    /// stream before continuing.
+    /// The activation changed (call, return): `pc` is already correct,
+    /// reload the instruction stream before continuing.
     Switch,
     /// The outermost activation of this invocation returned.
     Done(Value),
-}
-
-/// One quickened site: the view the site was monomorphic for plus the
-/// pre-resolved action. Guarding is one view comparison; anything else
-/// de-quickens back to the generic instruction.
-#[derive(Debug)]
-enum Quick {
-    /// Direct field read.
-    Get {
-        view: ClassId,
-        res: Arc<FieldRes>,
-        f: Name,
-    },
-    /// Direct slot store.
-    Set { view: ClassId, res: SetRes, f: Name },
-    /// Direct chunk call (arity pre-validated at quickening time).
-    Call { view: ClassId, chunk: usize },
-}
-
-/// `site_quick` key spaces (one per site kind, since ic ids overlap).
-const QK_GET: u8 = 0;
-const QK_SET: u8 = 1;
-const QK_CALL: u8 = 2;
-
-/// Bumps a site's consecutive-same-view counter, restarting it on any
-/// view change. `(ClassId(u32::MAX), 0)` is the never-seen sentinel.
-#[inline]
-fn mono_track(m: &mut (ClassId, u32), view: ClassId) {
-    if m.0 == view {
-        m.1 += 1;
-    } else {
-        *m = (view, 1);
-    }
 }
 
 /// The sampling profiler: every `stride` executed instructions it
@@ -209,29 +169,6 @@ pub struct Vm<'p> {
     /// Recycled activations (cleared of values, so never GC roots): calls
     /// pop from here instead of allocating fresh local/stack vectors.
     pool: Vec<ExecState>,
-
-    // --- IC-guided quickening (per-VM; the shared `VmProgram` is never
-    // mutated, so serve workers quicken independently) ---
-    /// Whether stable-monomorphic sites rewrite themselves (`--no-quicken`
-    /// turns this off for ablation).
-    quicken: bool,
-    /// Copy-on-quicken instruction streams, one slot per chunk: `None`
-    /// executes the shared chunk, `Some` is this VM's private copy with
-    /// quickened instructions patched in. Warm across
-    /// [`Vm::reset_for_request`], like the inline caches.
-    quick_code: Vec<Option<Arc<[Instr]>>>,
-    /// The quick table ([`Quick`] entries referenced by quickened
-    /// instructions); one slot per quickened site, reused on re-quicken.
-    quicks: Vec<Quick>,
-    /// (kind, ic) → quick-table slot, so a site that de-quickens and
-    /// re-quickens reuses its entry instead of growing the table.
-    site_quick: HashMap<(u8, u32), u32>,
-    /// Consecutive same-view resolutions per field-read site.
-    field_mono: Vec<(ClassId, u32)>,
-    /// Consecutive same-view resolutions per field-write site.
-    set_mono: Vec<(ClassId, u32)>,
-    /// Consecutive same-view resolutions per call site.
-    call_mono: Vec<(ClassId, u32)>,
 
     // --- caches (all monotone; never invalidated by `reset_for_request`,
     // so a reused worker VM stays warm across requests) ---
@@ -297,13 +234,6 @@ impl<'p> Vm<'p> {
             frames: Vec::new(),
             alloc_stack: Vec::new(),
             pool: Vec::new(),
-            quicken: true,
-            quick_code: vec![None; code.chunks.len()],
-            quicks: Vec::new(),
-            site_quick: HashMap::new(),
-            field_mono: vec![(ClassId(u32::MAX), 0); code.n_field_ics as usize],
-            set_mono: vec![(ClassId(u32::MAX), 0); code.n_set_ics as usize],
-            call_mono: vec![(ClassId(u32::MAX), 0); code.n_call_ics as usize],
             field_ics: (0..code.n_field_ics).map(|_| Vec::new()).collect(),
             set_ics: (0..code.n_set_ics).map(|_| Vec::new()).collect(),
             call_ics: (0..code.n_call_ics).map(|_| Vec::new()).collect(),
@@ -452,17 +382,10 @@ impl<'p> Vm<'p> {
         self
     }
 
-    /// Enables or disables IC-guided quickening (enabled by default; the
-    /// CLI's `--no-quicken` ablation knob). Quickening is a pure dispatch
-    /// optimisation: outputs, errors, and every semantic statistic are
-    /// identical either way.
-    pub fn set_quickening(&mut self, on: bool) {
-        self.quicken = on;
-    }
-
-    /// Builder form of [`Vm::set_quickening`].
-    pub fn with_quickening(mut self, on: bool) -> Self {
-        self.set_quickening(on);
+    /// Does nothing: the VM has no quickening stage, and every get/set/
+    /// call site resolves through its view-keyed inline cache. Kept only
+    /// because the stand-alone `perfbench` package still calls it.
+    pub fn with_quickening(self, _on: bool) -> Self {
         self
     }
 
@@ -579,7 +502,7 @@ impl<'p> Vm<'p> {
     /// Per-site inline-cache profile: every get/set/call site in the
     /// program (including never-executed ones), with hit/miss counts and
     /// the number of views cached at the site (its polymorphism degree).
-    /// Sites are named `chunk+pc kind member` so a quickening pass can
+    /// Sites are named `chunk+pc kind member` so a profile reader can
     /// map them back to instructions. Order is stable: all field-get
     /// sites by id, then field-set sites, then call sites.
     pub fn ic_profile(&self) -> Vec<jns_obs::IcSiteProfile> {
@@ -750,16 +673,7 @@ impl<'p> Vm<'p> {
             stack: Vec::with_capacity(8),
         };
         'frame: loop {
-            // The activation's instruction stream: this VM's private
-            // quickened copy when one exists, the shared chunk otherwise.
-            // Cloning the `Arc` keeps the stream alive independently of
-            // `self`, so handlers may rewrite `quick_code` mid-stream;
-            // every rewrite returns [`Flow::Switch`] to reload.
-            let quick = self.quick_code[cur.chunk].clone();
-            let instrs: &[Instr] = match &quick {
-                Some(q) => q,
-                None => &code.chunks[cur.chunk].code,
-            };
+            let instrs: &[Instr] = &code.chunks[cur.chunk].code;
             loop {
                 // Attribute the step before the fuel check so the profile
                 // sums to `Stats::steps` even on the OutOfFuel path.
@@ -802,12 +716,16 @@ impl<'p> Vm<'p> {
                     }
                     Instr::GetField { f, ic } => {
                         let v = cur.stack.pop().expect("getfield underflow");
-                        self.op_get(&mut cur, v, *f, *ic, None)?
+                        self.op_get(&mut cur, v, *f, *ic)?
                     }
                     Instr::SetField { local, var, f, ic } => {
                         self.op_set(&mut cur, *local, *var, *f, *ic)?
                     }
-                    Instr::Call { m, argc, ic } => self.op_call(&mut cur, *m, *argc, *ic)?,
+                    Instr::Call { m, argc, ic } => {
+                        let argc = *argc as usize;
+                        let recv = cur.stack[cur.stack.len() - 1 - argc].clone();
+                        self.op_call(&mut cur, recv, *m, argc, *ic, true)?
+                    }
                     Instr::NewResolve { ty } => {
                         let class = self.new_class(*ty, &cur.locals)?;
                         self.new_stack.push(class);
@@ -876,7 +794,7 @@ impl<'p> Vm<'p> {
                     // --- superinstructions (compile-time fusion) ---
                     Instr::LoadGetField { slot, f, ic } => {
                         let v = cur.locals[*slot as usize].clone();
-                        self.op_get(&mut cur, v, *f, *ic, Some(*slot))?
+                        self.op_get(&mut cur, v, *f, *ic)?
                     }
                     Instr::LoadLoadBin { a, b, op } => {
                         let lv = cur.locals[*a as usize].clone();
@@ -903,21 +821,9 @@ impl<'p> Vm<'p> {
                         }
                     }
                     Instr::LoadCall { slot, m, ic } => {
-                        self.op_load_call(&mut cur, *slot, *m, *ic)?
+                        let recv = cur.locals[*slot as usize].clone();
+                        self.op_call(&mut cur, recv, *m, 0, *ic, false)?
                     }
-
-                    // --- quickened forms (runtime rewrites) ---
-                    Instr::GetFieldQ { q } => {
-                        let v = cur.stack.pop().expect("getfield underflow");
-                        self.op_get_q(&mut cur, v, *q)?
-                    }
-                    Instr::LoadGetFieldQ { slot, q } => {
-                        let v = cur.locals[*slot as usize].clone();
-                        self.op_get_q(&mut cur, v, *q)?
-                    }
-                    Instr::SetFieldQ { local, q } => self.op_set_q(&mut cur, *local, *q)?,
-                    Instr::CallQ { argc, q } => self.op_call_q(&mut cur, *argc, *q)?,
-                    Instr::LoadCallQ { slot, q } => self.op_load_call_q(&mut cur, *slot, *q)?,
                 };
                 match flow {
                     Flow::Next => cur.pc += 1,
@@ -931,66 +837,16 @@ impl<'p> Vm<'p> {
 
     // ------------------------------------------------------ opcode handlers
 
-    /// Generic field read (`GetField` / `LoadGetField`): `v` is the
-    /// receiver, `slot` its frame slot when the load was fused in. Once
-    /// the site has been monomorphic for [`QUICKEN_AFTER`] consecutive
-    /// resolutions it rewrites itself into the quickened form.
-    fn op_get(
-        &mut self,
-        st: &mut ExecState,
-        v: Value,
-        f: Name,
-        ic: u32,
-        slot: Option<u16>,
-    ) -> Result<Flow, RtError> {
+    /// Field read (`GetField` / `LoadGetField`): `v` is the receiver.
+    fn op_get(&mut self, st: &mut ExecState, v: Value, f: Name, ic: u32) -> Result<Flow, RtError> {
         let r = self.expect_ref(v)?;
         let res = self.site_field_res(ic, r.view, f);
         let out = self.get_field_resolved(&r, f, &res)?;
         st.stack.push(out);
-        if self.quicken && self.field_mono[ic as usize].1 >= QUICKEN_AFTER {
-            let view = r.view;
-            self.install_quick(
-                st.chunk,
-                st.pc,
-                (QK_GET, ic),
-                Quick::Get { view, res, f },
-                |q| match slot {
-                    Some(slot) => Instr::LoadGetFieldQ { slot, q },
-                    None => Instr::GetFieldQ { q },
-                },
-            );
-            st.pc += 1;
-            return Ok(Flow::Switch);
-        }
         Ok(Flow::Next)
     }
 
-    /// Quickened field read: one view comparison guards the pre-resolved
-    /// path; any mismatch de-quickens and re-executes generically.
-    fn op_get_q(&mut self, st: &mut ExecState, v: Value, q: u32) -> Result<Flow, RtError> {
-        if let Value::Ref(r) = &v {
-            if let Quick::Get { view, res, f } = &self.quicks[q as usize] {
-                if r.view == *view {
-                    let (r, f, res) = (r.clone(), *f, res.clone());
-                    let out = self.get_field_resolved(&r, f, &res)?;
-                    st.stack.push(out);
-                    return Ok(Flow::Next);
-                }
-            }
-        }
-        let (f, ic) = match self.dequicken(st) {
-            Instr::GetField { f, ic } | Instr::LoadGetField { f, ic, .. } => (f, ic),
-            other => unreachable!("de-quickening non-get {other:?}"),
-        };
-        self.field_mono[ic as usize] = (ClassId(u32::MAX), 0);
-        let flow = self.op_get(st, v, f, ic, None)?;
-        debug_assert!(matches!(flow, Flow::Next));
-        st.pc += 1;
-        Ok(Flow::Switch)
-    }
-
-    /// Generic field write (`SetField`), with the same quickening policy
-    /// as reads (only when the receiver local is in scope).
+    /// Field write (`SetField`) through the view of the receiver local.
     fn op_set(
         &mut self,
         st: &mut ExecState,
@@ -1016,67 +872,22 @@ impl<'p> Vm<'p> {
             self.stats.mask_allocs += 1;
         }
         st.stack.push(v);
-        if self.quicken && self.set_mono[ic as usize].1 >= QUICKEN_AFTER {
-            if let Some(slot) = local {
-                let view = r.view;
-                self.install_quick(
-                    st.chunk,
-                    st.pc,
-                    (QK_SET, ic),
-                    Quick::Set { view, res, f },
-                    |q| Instr::SetFieldQ { local: slot, q },
-                );
-                st.pc += 1;
-                return Ok(Flow::Switch);
-            }
-        }
         Ok(Flow::Next)
     }
 
-    /// Quickened field write: guard the receiver local's view, then store
-    /// straight to the resolved slot.
-    fn op_set_q(&mut self, st: &mut ExecState, local: u16, q: u32) -> Result<Flow, RtError> {
-        if let Some(Value::Ref(r)) = st.locals.get(local as usize) {
-            if let Quick::Set { view, res, f } = &self.quicks[q as usize] {
-                if r.view == *view {
-                    let (loc, res, f) = (r.loc, *res, *f);
-                    let v = st.stack.pop().expect("setfield underflow");
-                    self.write_cell(loc, res.copy, res.slot, f, v.clone());
-                    let mut mask_copied = false;
-                    if let Some(Value::Ref(r2)) = st.locals.get_mut(local as usize) {
-                        mask_copied = r2.grant(&f);
-                    }
-                    if mask_copied {
-                        self.stats.mask_allocs += 1;
-                    }
-                    st.stack.push(v);
-                    return Ok(Flow::Next);
-                }
-            }
-        }
-        let (local, var, f, ic) = match self.dequicken(st) {
-            Instr::SetField { local, var, f, ic } => (local, var, f, ic),
-            other => unreachable!("de-quickening non-set {other:?}"),
-        };
-        self.set_mono[ic as usize] = (ClassId(u32::MAX), 0);
-        let flow = self.op_set(st, local, var, f, ic)?;
-        debug_assert!(matches!(flow, Flow::Next));
-        st.pc += 1;
-        Ok(Flow::Switch)
-    }
-
-    /// Generic call (`Call`): the receiver sits under `argc` arguments on
-    /// the operand stack.
+    /// Call (`Call` / `LoadCall`): `recv` is the receiver, which sits
+    /// under `argc` arguments on the operand stack when `recv_on_stack`
+    /// (`Call`) and in a frame slot otherwise (`LoadCall`, zero-argument).
     fn op_call(
         &mut self,
         st: &mut ExecState,
+        recv: Value,
         m: Name,
-        argc: u16,
+        argc: usize,
         ic: u32,
+        recv_on_stack: bool,
     ) -> Result<Flow, RtError> {
-        let argc = argc as usize;
-        let ridx = st.stack.len() - 1 - argc;
-        let r = self.expect_ref(st.stack[ridx].clone())?;
+        let r = self.expect_ref(recv)?;
         self.stats.calls += 1;
         if self.depth >= self.max_depth {
             return Err(RtError::DepthExceeded(self.max_depth));
@@ -1087,101 +898,7 @@ impl<'p> Vm<'p> {
         if self.code.chunks[chunk].n_params as usize != argc {
             return Err(RtError::TypeMismatch("arity".into()));
         }
-        if self.quicken && self.call_mono[ic as usize].1 >= QUICKEN_AFTER {
-            // Arity was just validated, so the quickened form skips it.
-            let view = r.view;
-            self.install_quick(
-                st.chunk,
-                st.pc,
-                (QK_CALL, ic),
-                Quick::Call { view, chunk },
-                |q| Instr::CallQ {
-                    argc: argc as u16,
-                    q,
-                },
-            );
-        }
-        Ok(self.enter_chunk(st, chunk, argc, true, r))
-    }
-
-    /// Fused zero-argument call (`LoadCall`): receiver read from a frame
-    /// slot, nothing popped.
-    fn op_load_call(
-        &mut self,
-        st: &mut ExecState,
-        slot: u16,
-        m: Name,
-        ic: u32,
-    ) -> Result<Flow, RtError> {
-        let r = self.expect_ref(st.locals[slot as usize].clone())?;
-        self.stats.calls += 1;
-        if self.depth >= self.max_depth {
-            return Err(RtError::DepthExceeded(self.max_depth));
-        }
-        let Some(chunk) = self.site_call_res(ic, r.view, m) else {
-            return Err(self.no_method(r.view, m));
-        };
-        if self.code.chunks[chunk].n_params != 0 {
-            return Err(RtError::TypeMismatch("arity".into()));
-        }
-        if self.quicken && self.call_mono[ic as usize].1 >= QUICKEN_AFTER {
-            let view = r.view;
-            self.install_quick(
-                st.chunk,
-                st.pc,
-                (QK_CALL, ic),
-                Quick::Call { view, chunk },
-                |q| Instr::LoadCallQ { slot, q },
-            );
-        }
-        Ok(self.enter_chunk(st, chunk, 0, false, r))
-    }
-
-    /// Quickened call: guard the receiver view, then enter the resolved
-    /// chunk directly (dispatch, arity, and cache probe all pre-done).
-    fn op_call_q(&mut self, st: &mut ExecState, argc: u16, q: u32) -> Result<Flow, RtError> {
-        let argc = argc as usize;
-        let ridx = st.stack.len() - 1 - argc;
-        if let Value::Ref(r) = &st.stack[ridx] {
-            if let Quick::Call { view, chunk } = &self.quicks[q as usize] {
-                if r.view == *view {
-                    let (r, chunk) = (r.clone(), *chunk);
-                    self.stats.calls += 1;
-                    if self.depth >= self.max_depth {
-                        return Err(RtError::DepthExceeded(self.max_depth));
-                    }
-                    return Ok(self.enter_chunk(st, chunk, argc, true, r));
-                }
-            }
-        }
-        let (m, argc, ic) = match self.dequicken(st) {
-            Instr::Call { m, argc, ic } => (m, argc, ic),
-            other => unreachable!("de-quickening non-call {other:?}"),
-        };
-        self.call_mono[ic as usize] = (ClassId(u32::MAX), 0);
-        self.op_call(st, m, argc, ic)
-    }
-
-    /// Quickened fused call (`LoadCallQ`).
-    fn op_load_call_q(&mut self, st: &mut ExecState, slot: u16, q: u32) -> Result<Flow, RtError> {
-        if let Value::Ref(r) = &st.locals[slot as usize] {
-            if let Quick::Call { view, chunk } = &self.quicks[q as usize] {
-                if r.view == *view {
-                    let (r, chunk) = (r.clone(), *chunk);
-                    self.stats.calls += 1;
-                    if self.depth >= self.max_depth {
-                        return Err(RtError::DepthExceeded(self.max_depth));
-                    }
-                    return Ok(self.enter_chunk(st, chunk, 0, false, r));
-                }
-            }
-        }
-        let (m, ic) = match self.dequicken(st) {
-            Instr::LoadCall { m, ic, .. } => (m, ic),
-            other => unreachable!("de-quickening non-call {other:?}"),
-        };
-        self.call_mono[ic as usize] = (ClassId(u32::MAX), 0);
-        self.op_load_call(st, slot, m, ic)
+        Ok(self.enter_chunk(st, chunk, argc, recv_on_stack, r))
     }
 
     /// Switches into a resolved callee: drains the arguments into a
@@ -1284,62 +1001,10 @@ impl<'p> Vm<'p> {
         }
     }
 
-    // ---------------------------------------------------------- quickening
-
-    /// Installs (or refreshes) a site's quick-table entry and patches the
-    /// quickened instruction into this VM's private copy of the chunk.
-    fn install_quick(
-        &mut self,
-        chunk: usize,
-        pc: usize,
-        key: (u8, u32),
-        quick: Quick,
-        make: impl FnOnce(u32) -> Instr,
-    ) {
-        let q = match self.site_quick.get(&key) {
-            Some(&q) => {
-                self.quicks[q as usize] = quick;
-                q
-            }
-            None => {
-                let q = self.quicks.len() as u32;
-                self.quicks.push(quick);
-                self.site_quick.insert(key, q);
-                q
-            }
-        };
-        self.rewrite_code(chunk, pc, make(q));
-        self.stats.quickened += 1;
-    }
-
-    /// Restores the generic instruction at a quickened site (guard
-    /// failure) and returns it, so the caller can re-execute generically.
-    fn dequicken(&mut self, st: &ExecState) -> Instr {
-        let orig = self.code.chunks[st.chunk].code[st.pc].clone();
-        self.rewrite_code(st.chunk, st.pc, orig.clone());
-        self.stats.dequickened += 1;
-        orig
-    }
-
-    /// Copy-on-quicken: clones the chunk's stream on first rewrite (the
-    /// shared [`VmProgram`] is never touched, so every serve worker
-    /// quickens independently) and patches one instruction.
-    fn rewrite_code(&mut self, chunk: usize, pc: usize, ins: Instr) {
-        let mut stream: Vec<Instr> = match &self.quick_code[chunk] {
-            Some(a) => a.to_vec(),
-            None => self.code.chunks[chunk].code.clone(),
-        };
-        stream[pc] = ins;
-        self.quick_code[chunk] = Some(stream.into());
-    }
-
     // -------------------------------------------------------------- fields
 
     /// Per-site inline cache in front of the global (view, field) table.
     fn site_field_res(&mut self, ic: u32, view: ClassId, f: Name) -> Arc<FieldRes> {
-        if self.quicken {
-            mono_track(&mut self.field_mono[ic as usize], view);
-        }
         let site = &self.field_ics[ic as usize];
         for (v, res) in site {
             if *v == view {
@@ -1361,9 +1026,6 @@ impl<'p> Vm<'p> {
     }
 
     fn site_set_res(&mut self, ic: u32, view: ClassId, f: Name) -> SetRes {
-        if self.quicken {
-            mono_track(&mut self.set_mono[ic as usize], view);
-        }
         let site = &self.set_ics[ic as usize];
         for (v, res) in site {
             if *v == view {
@@ -1624,9 +1286,6 @@ impl<'p> Vm<'p> {
 
     /// Per-site call cache in front of the global dispatch table.
     fn site_call_res(&mut self, ic: u32, view: ClassId, m: Name) -> Option<usize> {
-        if self.quicken {
-            mono_track(&mut self.call_mono[ic as usize], view);
-        }
         let site = &self.call_ics[ic as usize];
         for (v, c) in site {
             if *v == view {

@@ -7,9 +7,7 @@
 //!   obs-check trace <file.jsonl>    a `jns-trace/1` JSON Lines stream
 //!                                   (from `--trace`)
 //!   obs-check bench <file.json>     a `jns-bench/2` suite document
-//!                                   (from `jns bench` / `jns bench-serve`;
-//!                                   the legacy `jns-bench/1` layout is
-//!                                   still accepted)
+//!                                   (from `jns bench` / `jns bench-serve`)
 //!   obs-check folded <file.txt>     collapsed-stack sampler output
 //!                                   (from `--profile-folded`)
 //!
@@ -99,45 +97,7 @@ fn check_trace(path: &str) -> Result<(), String> {
 fn check_bench(path: &str) -> Result<(), String> {
     let text = read(path)?;
     let doc = jns_obs::json::parse(text.trim())?;
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(jns_obs::BENCH_SCHEMA) => jns_obs::validate_bench(&doc),
-        Some("jns-bench/1") => check_bench_v1(&doc),
-        _ => Err(format!(
-            "schema must be {:?} (or the legacy \"jns-bench/1\")",
-            jns_obs::BENCH_SCHEMA
-        )),
-    }
-}
-
-/// The legacy single-shot `jns bench-serve` layout, kept readable so
-/// pinned artifacts from older commits still validate.
-fn check_bench_v1(doc: &Json) -> Result<(), String> {
-    if doc.get("workload").and_then(Json::as_str).is_none() {
-        return Err("missing string `workload`".to_string());
-    }
-    if doc.get("speedup").and_then(Json::as_f64).is_none() {
-        return Err("missing numeric `speedup`".to_string());
-    }
-    for arm in ["single", "multi"] {
-        let a = doc.get(arm).ok_or(format!("missing `{arm}` arm"))?;
-        for key in ["workers", "requests", "elapsed_us"] {
-            if a.get(key).and_then(Json::as_u64).is_none() {
-                return Err(format!("`{arm}` needs numeric `{key}`"));
-            }
-        }
-        if a.get("rps").and_then(Json::as_f64).is_none() {
-            return Err(format!("`{arm}` needs numeric `rps`"));
-        }
-        for hist in ["queue_wait_us", "exec_us"] {
-            let h = a.get(hist).ok_or(format!("`{arm}` needs `{hist}`"))?;
-            for key in ["count", "p50", "p90", "p99", "max"] {
-                if h.get(key).and_then(Json::as_u64).is_none() {
-                    return Err(format!("`{arm}.{hist}` needs numeric `{key}`"));
-                }
-            }
-        }
-    }
-    Ok(())
+    jns_obs::validate_bench(&doc)
 }
 
 fn check_folded(path: &str) -> Result<(), String> {

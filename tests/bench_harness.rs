@@ -8,6 +8,8 @@
 //! - **`bench-serve` emits a valid `jns-bench/2` suite** that
 //!   `obs-check bench` accepts, with one entry per pool arm and the
 //!   speedup as an extra key.
+//! - **`bench --out-dir` creates a missing directory**, and fails
+//!   before measuring anything when it cannot.
 //! - **Dropped trace events surface.** A serve run whose per-worker
 //!   trace buffers are too small reports a non-zero drop count in its
 //!   telemetry instead of failing silently.
@@ -113,6 +115,38 @@ fn bench_serve_emits_valid_v2_suite() {
         doc.get("speedup").and_then(Json::as_f64).is_some(),
         "speedup rides along as an extra key"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn bench_serve_suite_into(out_dir: &std::path::Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_jns"))
+        .args([
+            "bench", "--suite", "serve", "--repeat", "1", "--warmup", "0",
+        ])
+        .arg("--out-dir")
+        .arg(out_dir)
+        .output()
+        .expect("spawn jns")
+}
+
+#[test]
+fn bench_creates_a_missing_out_dir_before_measuring() {
+    let dir = temp_dir("outdir");
+    let nested = dir.join("a").join("b");
+    let out = bench_serve_suite_into(&nested);
+    assert!(out.status.success(), "bench must create {nested:?}");
+    let text = std::fs::read_to_string(nested.join("BENCH_serve.json")).expect("read");
+    let doc = jns_obs::json::parse(text.trim()).expect("parses");
+    jns_obs::validate_bench(&doc).expect("validates as jns-bench/2");
+
+    // A directory under a regular file cannot be created: exit 1, and
+    // no suite may have started.
+    let file = dir.join("file");
+    std::fs::write(&file, "").expect("write");
+    let out = bench_serve_suite_into(&file.join("sub"));
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("suite serve"), "measured first: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

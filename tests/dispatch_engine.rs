@@ -1,16 +1,15 @@
-//! Differential coverage for the VM's profile-guided dispatch engine:
-//! superinstruction fusion and IC-guided quickening must be *observably
-//! free*. Engine-on and engine-off runs produce byte-identical output,
-//! values, errors, and semantic statistics over the whole paper corpus —
-//! including under a tight heap limit, across random knob combinations
-//! (against the tree-walking reference), through a view-guard failure
-//! that forces de-quickening, and across serve pools of every size.
+//! Differential coverage for the VM's dispatch engine: superinstruction
+//! fusion must be *observably free*. Fused and unfused runs produce
+//! byte-identical output, values, errors, and semantic statistics over
+//! the whole paper corpus — including under a tight heap limit, across
+//! random knob combinations (against the tree-walking reference),
+//! through a hot call site whose receiver is re-viewed, and across serve
+//! pools of every size.
 //!
 //! The one intentional difference: fusion collapses instruction pairs,
 //! so `Stats::steps` differs between fused and unfused bytecode (it is a
 //! property of the compiled program, identical across runs of the same
-//! bytecode). Quickening is a strict one-for-one rewrite, so with fusion
-//! fixed, even `steps` must be bit-identical with quickening on or off.
+//! bytecode).
 
 use jns_core::{Backend, Compiler, Error};
 use jns_eval::RtError;
@@ -34,37 +33,23 @@ enum Outcome {
     Runtime(RtError),
 }
 
-/// Runs `src` on the VM with the given engine knobs.
-fn run_vm(
-    src: &str,
-    fuse: bool,
-    quicken: bool,
-    heap_limit: Option<usize>,
-) -> (Outcome, jns_eval::Stats) {
-    let mut compiler = Compiler::new()
-        .with_backend(Backend::Vm)
-        .with_fusion(fuse)
-        .with_quickening(quicken);
+/// Runs `src` on the VM, fused or not.
+fn run_vm(src: &str, fuse: bool, heap_limit: Option<usize>) -> Outcome {
+    let mut compiler = Compiler::new().with_backend(Backend::Vm).with_fusion(fuse);
     if let Some(l) = heap_limit {
         compiler = compiler.with_heap_limit(l);
     }
     let compiled = compiler.compile(src).expect("corpus program compiles");
     match compiled.run() {
-        Ok(out) => {
-            let stats = out.stats;
-            (
-                Outcome::Ok {
-                    output: out.output,
-                    value: format!("{:?}", out.value),
-                    allocs: stats.allocs,
-                    calls: stats.calls,
-                    views_explicit: stats.views_explicit,
-                    views_implicit: stats.views_implicit,
-                },
-                stats,
-            )
-        }
-        Err(Error::Runtime(e)) => (Outcome::Runtime(e), jns_eval::Stats::default()),
+        Ok(out) => Outcome::Ok {
+            output: out.output,
+            value: format!("{:?}", out.value),
+            allocs: out.stats.allocs,
+            calls: out.stats.calls,
+            views_explicit: out.stats.views_explicit,
+            views_implicit: out.stats.views_implicit,
+        },
+        Err(Error::Runtime(e)) => Outcome::Runtime(e),
         Err(e) => panic!("non-runtime failure: {e}"),
     }
 }
@@ -73,30 +58,23 @@ fn whole_corpus() -> impl Iterator<Item = (&'static str, &'static str)> {
     PAPER_EXAMPLES.iter().chain(PAPER_FIGURES).copied()
 }
 
-/// Engine fully on vs fully off over every corpus program: identical
-/// outcomes, and with fusion fixed, quickening never even moves `steps`.
+/// Fusion on vs off over every corpus program: identical outcomes.
 #[test]
 fn corpus_engine_on_equals_engine_off() {
     for (name, src) in whole_corpus() {
-        let (engine, engine_stats) = run_vm(src, true, true, None);
-        let (generic, _) = run_vm(src, false, false, None);
+        let engine = run_vm(src, true, None);
+        let generic = run_vm(src, false, None);
         assert_eq!(engine, generic, "[{name}] engine changed behaviour");
-        let (noquicken, noquicken_stats) = run_vm(src, true, false, None);
-        assert_eq!(engine, noquicken, "[{name}] quickening changed behaviour");
-        assert_eq!(
-            engine_stats.steps, noquicken_stats.steps,
-            "[{name}] quickening must be a strict 1:1 instruction rewrite"
-        );
     }
 }
 
-/// Same equivalence under a tight heap limit: quickened streams and the
-/// frame pool must survive mark-compact collections.
+/// Same equivalence under a tight heap limit: the frame pool and the
+/// inline caches must survive mark-compact collections.
 #[test]
 fn corpus_engine_equivalent_under_heap_pressure() {
     for (name, src) in whole_corpus() {
-        let (engine, _) = run_vm(src, true, true, Some(8));
-        let (generic, _) = run_vm(src, false, false, Some(8));
+        let engine = run_vm(src, true, Some(8));
+        let generic = run_vm(src, false, Some(8));
         assert_eq!(
             engine, generic,
             "[{name}] engine diverges at --heap-limit 8"
@@ -105,11 +83,11 @@ fn corpus_engine_equivalent_under_heap_pressure() {
 }
 
 /// A hot monomorphic loop under allocation churn at `--heap-limit 8`:
-/// the quickened sites survive dozens of compactions (quick-table
-/// entries hold views and slots, never heap locations) and the run stays
+/// the inline-cached sites survive dozens of compactions (cache entries
+/// hold views and slots, never heap locations) and the run stays
 /// interpreter-identical.
 #[test]
-fn quickened_sites_survive_compactions() {
+fn hot_sites_survive_compactions() {
     let src = "class W {
                  class Cell {
                    int v = 0;
@@ -134,12 +112,6 @@ fn quickened_sites_survive_compactions() {
         .expect("runs");
     assert_eq!(vm.output, vec!["300"]);
     assert!(
-        vm.stats.quickened > 0,
-        "the loop's sites never quickened: {:?}",
-        vm.stats
-    );
-    assert_eq!(vm.stats.dequickened, 0, "no view ever changes here");
-    assert!(
         vm.stats.gc_runs > 30,
         "expected dozens of compactions, got {}",
         vm.stats.gc_runs
@@ -155,11 +127,11 @@ fn quickened_sites_survive_compactions() {
     assert_eq!(tree.stats.calls, vm.stats.calls);
 }
 
-/// A call site quickens on one view, then the receiver is re-viewed into
-/// a sharing partner: the guard fails, the site de-quickens, and late
-/// binding still picks the partner's override — interpreter-identically.
+/// A call site runs hot on one view, then the receiver is re-viewed into
+/// a sharing partner: the site's inline cache misses on the new view, and
+/// late binding picks the partner's override — interpreter-identically.
 #[test]
-fn view_guard_failure_dequickens() {
+fn re_viewed_receiver_rebinds_hot_call_site() {
     let src = "class Fam {
                  class C {
                    int v = 0;
@@ -199,12 +171,6 @@ fn view_guard_failure_dequickens() {
     // Late binding through the *view*: the re-viewed receiver dispatches
     // to Fam2's override, and back.
     assert_eq!(vm.output, vec!["2", "1", "40"]);
-    assert!(vm.stats.quickened > 0, "hot sites never quickened");
-    assert!(
-        vm.stats.dequickened >= 1,
-        "the guard failure must de-quicken: {:?}",
-        vm.stats
-    );
     let tree = Compiler::new()
         .compile(src)
         .expect("compiles")
@@ -215,21 +181,23 @@ fn view_guard_failure_dequickens() {
 }
 
 /// Serve determinism across pool sizes and engine settings: every worker
-/// quickens into its own chunk copies, so 1-, 2-, and 8-worker pools —
-/// quickening on or off — produce identical responses and identical
-/// aggregate semantic statistics.
+/// warms its own inline caches over the shared bytecode, so 1-, 2-, and
+/// 8-worker pools — fused or not — produce identical responses and
+/// identical aggregate semantic statistics (`steps` is compared within
+/// each fusion setting, since fusion moves it by design).
 #[test]
 fn serve_pools_agree_across_engine_settings() {
-    type PoolFingerprint = (Vec<String>, (u64, u64, u64, u64, u64));
+    type PoolFingerprint = (Vec<String>, (u64, u64, u64, u64));
     let src = jns_serve::workload::service_dispatch(12);
     let requests = 24;
     let mut reference: Option<PoolFingerprint> = None;
-    for quicken in [true, false] {
+    for fuse in [true, false] {
         let compiled = Compiler::new()
             .with_backend(Backend::Vm)
-            .with_quickening(quicken)
+            .with_fusion(fuse)
             .compile(&src)
             .expect("serve workload compiles");
+        let mut arm_steps = None;
         for workers in [1usize, 2, 8] {
             let cfg = ServeConfig {
                 workers,
@@ -240,20 +208,30 @@ fn serve_pools_agree_across_engine_settings() {
             assert!(report.uniform(), "responses diverged within the pool");
             let first = report.responses.first().expect("responses");
             assert!(first.is_ok(), "request failed: {:?}", first.error);
-            let got = (first.output.clone(), report.aggregate.semantic());
+            let (steps, allocs, views_explicit, views_implicit, calls) =
+                report.aggregate.semantic();
+            assert_eq!(
+                *arm_steps.get_or_insert(steps),
+                steps,
+                "pool of {workers} workers (fuse={fuse}) ran different steps"
+            );
+            let got = (
+                first.output.clone(),
+                (allocs, views_explicit, views_implicit, calls),
+            );
             match &reference {
                 None => reference = Some(got),
                 Some(want) => assert_eq!(
                     want, &got,
-                    "pool of {workers} workers (quicken={quicken}) diverged"
+                    "pool of {workers} workers (fuse={fuse}) diverged"
                 ),
             }
         }
     }
 }
 
-/// A looping program whose sites run hot enough to fuse *and* quicken,
-/// with a mid-program view change: the stress shape for random knobs.
+/// A looping program whose sites fuse and run hot, with a mid-program
+/// view change: the stress shape for random knobs.
 fn knobs_program(iters: u32) -> String {
     format!(
         "class Fam {{
@@ -289,21 +267,17 @@ fn knobs_program(iters: u32) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random fuse/quicken/depth/heap-limit combinations never diverge
-    /// from the tree-walking reference interpreter.
+    /// Random fuse/depth/heap-limit combinations never diverge from the
+    /// tree-walking reference interpreter.
     #[test]
     fn random_knobs_match_tree_walker(
         iters in 1u32..80,
         fuse in any::<bool>(),
-        quicken in any::<bool>(),
         heap_limit in (0usize..72).prop_map(|v| if v < 12 { None } else { Some(v.max(16)) }),
         max_depth in (0u32..72).prop_map(|v| if v < 12 { None } else { Some(v.max(3)) }),
     ) {
         let src = knobs_program(iters * 2);
-        let mut vm_compiler = Compiler::new()
-            .with_backend(Backend::Vm)
-            .with_fusion(fuse)
-            .with_quickening(quicken);
+        let mut vm_compiler = Compiler::new().with_backend(Backend::Vm).with_fusion(fuse);
         let mut tree_compiler = Compiler::new();
         if let Some(l) = heap_limit {
             vm_compiler = vm_compiler.with_heap_limit(l);
