@@ -1,17 +1,19 @@
 //! # bench
 //!
 //! The benchmark harness for every table and figure of the paper's
-//! evaluation (§7). Each binary prints the corresponding table; the
-//! criterion benches provide statistically robust timings of the same
-//! workloads.
+//! evaluation (§7). Each binary prints the corresponding table at full
+//! size; [`workloads`] holds the same workloads at reduced sizes as
+//! named entries of the `jns bench` suites, which time them with warmup
+//! passes and repeated runs.
 //!
-//! | Artifact | Binary | Criterion bench |
-//! |----------|--------|-----------------|
-//! | Table 1 (jolden) | `table1` | `table1` |
-//! | Table 2 (tree traversal) | `table2` | `table2` |
-//! | §7.3 / Fig. 20 (lambda compiler) | `lambda_stats` | `lambda` |
+//! | Artifact | Binary | `jns bench` entries |
+//! |----------|--------|---------------------|
+//! | Table 1 (jolden) | `table1` | `paper`: `table1_<kernel>/<strategy>` |
+//! | Table 2 (tree traversal) | `table2` | `paper`: `table2_<row>/shared_family` |
+//! | §7.3 / Fig. 20 (lambda compiler) | `lambda_stats` | `vm`: `lambda_translate`, `lambda_compile`, `lambda_lower` |
 //! | §7.4 (CorONA evolution) | `corona_evolution` | — |
-//! | §6.3 ablations | — | `dispatch`, `viewmemo` |
+//! | §6.3 ablations | — | `dispatch`: `dispatch`, `viewmemo_*` |
+//! | §2.4 serving batch | — | `serve`: `serve_batch/{pool4,pool1,fresh_vm}` |
 
 #![warn(missing_docs)]
 

@@ -1,33 +1,40 @@
-//! The benchmark workloads as reusable, nameable closures — one source
-//! of truth shared by the criterion benches (`benches/`) and the
-//! `jns bench` CLI driver that pins `BENCH_*.json` baselines.
+//! The benchmark workloads as reusable, nameable closures — the one
+//! source of truth for the `jns bench` driver that pins the
+//! `BENCH_*.json` baselines.
 //!
-//! Four suites (see [`SUITES`]):
+//! Five suites (see [`SUITES`]):
 //!
 //! - **`vm`** — backend shoot-out on the paper's two flagship programs:
 //!   the §7.3 lambda compiler and the §2.4 service evolution, each on
-//!   the tree-walking interpreter and the bytecode VM, plus the VM's
-//!   one-time bytecode-lowering cost.
+//!   the tree-walking interpreter and the bytecode VM, plus the lambda
+//!   program's front-end (parse + check) and its one-time bytecode
+//!   lowering.
 //! - **`dispatch`** — the §6.3 ablations over the four Table 1
-//!   implementation strategies (a tight virtual-call loop per strategy)
-//!   and the view-change memoisation microbenchmarks.
+//!   implementation strategies (a tight virtual-call loop per strategy),
+//!   the VM dispatch engine against its unfused form and the tree-walker
+//!   on one J&s program, and the view-change memoisation
+//!   microbenchmarks.
 //! - **`gc`** — the allocation-churn program with the collector off and
 //!   under shrinking live-heap limits, on both backends.
 //! - **`serve`** — whole-batch serving throughput over the worker pool
-//!   (fixed worker count, so numbers compare across machines with
-//!   different core counts).
+//!   (fixed worker counts, so numbers compare across machines with
+//!   different core counts), against the same requests run one fresh VM
+//!   each.
+//! - **`paper`** — the §7 tables at reduced sizes: every Table 1 jolden
+//!   kernel under every strategy, and the Table 2 tree-traversal rows.
 //!
 //! Every workload is deterministic in its *work* (identical instruction
 //! streams run to run); only wall-clock varies, which is what the
 //! `jns-obs` robust statistics are for.
 
-use jns_core::{lambda, service, Backend, Compiled, Compiler};
+use jns_core::{lambda, service, Backend, Compiler};
+use jns_rt::shared::TreeBench;
 use jns_rt::{MethodId, ObjRef, Runtime, Strategy, Val};
 use jns_serve::{serve_batch, ServeConfig};
 use std::rc::Rc;
 
 /// Suite names [`suite`] accepts, in canonical order.
-pub const SUITES: [&str; 4] = ["vm", "dispatch", "gc", "serve"];
+pub const SUITES: [&str; 5] = ["vm", "dispatch", "gc", "serve", "paper"];
 
 /// One runnable benchmark workload: a closure plus the naming metadata
 /// a `jns-bench/2` entry carries.
@@ -72,6 +79,7 @@ pub fn suite(name: &str) -> Option<Vec<Workload>> {
         "dispatch" => Some(dispatch_suite()),
         "gc" => Some(gc_suite()),
         "serve" => Some(serve_suite()),
+        "paper" => Some(paper_suite()),
         _ => None,
     }
 }
@@ -103,14 +111,6 @@ pub fn lambda_source(depth: u32) -> String {
     lambda::program(&main_body)
 }
 
-/// The compiled lambda-compiler workload (24-deep term, the benched
-/// size).
-pub fn lambda_workload() -> Compiled {
-    Compiler::new()
-        .compile(&lambda_source(24))
-        .expect("lambda workload typechecks")
-}
-
 /// The J&s source of the service-evolution workload: a hot dispatch
 /// loop, a live evolution, then the same loop through the evolved
 /// dispatcher.
@@ -134,20 +134,19 @@ pub fn service_source() -> String {
     service::program(main_body)
 }
 
-/// The compiled service-evolution workload.
-pub fn service_workload() -> Compiled {
-    Compiler::new()
-        .compile(&service_source())
-        .expect("service workload typechecks")
-}
-
 fn backend_pair() -> [(Backend, &'static str); 2] {
     [(Backend::TreeWalk, "treewalk"), (Backend::Vm, "vm")]
 }
 
 fn vm_suite() -> Vec<Workload> {
     let mut out = Vec::new();
-    let lambda = Rc::new(lambda_workload());
+    // A 24-deep term, the benched size.
+    let lambda_src = lambda_source(24);
+    let lambda = Rc::new(
+        Compiler::new()
+            .compile(&lambda_src)
+            .expect("lambda workload typechecks"),
+    );
     for (be, label) in backend_pair() {
         let c = Rc::clone(&lambda);
         out.push(Workload::new(
@@ -158,7 +157,11 @@ fn vm_suite() -> Vec<Workload> {
             }),
         ));
     }
-    let service = Rc::new(service_workload());
+    let service = Rc::new(
+        Compiler::new()
+            .compile(&service_source())
+            .expect("service workload typechecks"),
+    );
     for (be, label) in backend_pair() {
         let c = Rc::clone(&service);
         out.push(Workload::new(
@@ -177,6 +180,15 @@ fn vm_suite() -> Vec<Workload> {
         "vm",
         Box::new(move || {
             jns_vm::compile(&c.program);
+        }),
+    ));
+    out.push(Workload::new(
+        "lambda_compile",
+        "frontend",
+        Box::new(move || {
+            Compiler::new()
+                .compile(&lambda_src)
+                .expect("lambda workload typechecks");
         }),
     ));
     out
@@ -275,10 +287,8 @@ pub fn vm_dispatch_source(iters: u32) -> String {
     )
 }
 
-/// Iterations of the `vm_dispatch` loop, calibrated so the fully
-/// generic arm costs about as much as the committed
-/// `dispatch/shared_family` median — which makes the engine arm's
-/// speed-up directly comparable against that baseline.
+/// Iterations of the `vm_dispatch` loop (about a millisecond per pass
+/// on the VM).
 pub const VM_DISPATCH_ITERS: u32 = 4_000;
 
 fn dispatch_suite() -> Vec<Workload> {
@@ -293,18 +303,25 @@ fn dispatch_suite() -> Vec<Workload> {
             }),
         ));
     }
-    // The bytecode VM's dispatch-engine ablation: one program, fused
-    // and unfused, so the pinned baseline records what fusion
-    // contributes.
+    // The bytecode VM's dispatch-engine ablation: one program, fused,
+    // unfused and on the tree-walker, so one run records what fusion
+    // contributes and what the VM gains over the reference interpreter.
     let src = vm_dispatch_source(VM_DISPATCH_ITERS);
-    for (label, fuse) in [("engine", true), ("generic", false)] {
+    let arms = [
+        ("engine", Backend::Vm, true),
+        ("generic", Backend::Vm, false),
+        ("treewalk", Backend::TreeWalk, true),
+    ];
+    for (label, backend, fuse) in arms {
         let compiled = Compiler::new()
-            .with_backend(Backend::Vm)
+            .with_backend(backend)
             .with_fusion(fuse)
             .compile(&src)
             .expect("vm_dispatch compiles");
-        // Force the one-time lowering out of the timed region.
-        compiled.bytecode();
+        if backend == Backend::Vm {
+            // Force the one-time lowering out of the timed region.
+            compiled.bytecode();
+        }
         out.push(Workload::new(
             "vm_dispatch",
             label,
@@ -505,6 +522,84 @@ fn serve_suite() -> Vec<Workload> {
             }),
         ));
     }
+    // The pool's baseline: the same requests on the calling thread, a
+    // fresh VM each (no queue, no warm caches).
+    out.push(Workload::new(
+        "serve_batch",
+        "fresh_vm",
+        Box::new(move || {
+            for _ in 0..SERVE_REQUESTS {
+                compiled.run().expect("serve workload runs");
+            }
+        }),
+    ));
+    out
+}
+
+// ---------------------------------------------------------------- paper
+
+/// Tree height of the `table2_*` entries (the `table2` binary prints
+/// the paper's heights 16, 18 and 20).
+const TABLE2_HEIGHT: u32 = 12;
+
+fn paper_suite() -> Vec<Workload> {
+    let mut out = Vec::new();
+    for k in jolden::kernels() {
+        let want = (k.run)(Strategy::Direct, k.test_size);
+        for s in Strategy::ALL {
+            out.push(Workload::new(
+                &format!("table1_{}", k.name),
+                strategy_slug(s),
+                Box::new(move || {
+                    assert_eq!((k.run)(s, k.test_size), want);
+                }),
+            ));
+        }
+    }
+    let h = TABLE2_HEIGHT;
+    let nodes = TreeBench::node_count(h) as i64;
+    let row = |name: &str, run: Box<dyn FnMut()>| {
+        Workload::new(&format!("table2_{name}"), "shared_family", run)
+    };
+    out.push(row(
+        "creation",
+        Box::new(move || {
+            TreeBench::new().create(h);
+        }),
+    ));
+    let mut tb = TreeBench::new();
+    let root = tb.create(h);
+    out.push(row(
+        "traversal_before",
+        Box::new(move || assert_eq!(tb.traverse(root), nodes)),
+    ));
+    // A first view change cannot be repeated on one tree, so this pass
+    // builds its tree too: subtract `table2_creation` for the sweep.
+    out.push(row(
+        "view_changes",
+        Box::new(move || {
+            let mut tb = TreeBench::new();
+            let root = tb.create(h);
+            let viewed = tb.view_root(root);
+            assert_eq!(tb.traverse(viewed), 2 * nodes);
+        }),
+    ));
+    let mut tb = TreeBench::new();
+    let root = tb.create(h);
+    let viewed = tb.view_root(root);
+    tb.traverse(viewed);
+    out.push(row(
+        "traversal_after",
+        Box::new(move || assert_eq!(tb.traverse(viewed), 2 * nodes)),
+    ));
+    let mut tb = TreeBench::new();
+    let root = tb.create(h);
+    out.push(row(
+        "explicit_translation",
+        Box::new(move || {
+            tb.explicit_translate(root);
+        }),
+    ));
     out
 }
 
@@ -523,6 +618,15 @@ mod tests {
             assert_eq!(names.len(), ws.len(), "duplicate names in suite {s}");
         }
         assert!(suite("nope").is_none());
+    }
+
+    #[test]
+    fn every_paper_workload_runs() {
+        let ws = suite("paper").expect("paper suite");
+        assert_eq!(ws.len(), jolden::kernels().len() * Strategy::ALL.len() + 5);
+        for mut w in ws {
+            w.run_once();
+        }
     }
 
     #[test]

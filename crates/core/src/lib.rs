@@ -281,7 +281,7 @@ pub struct RunOutput {
     /// Per-site inline-cache hit/miss/polymorphism profile (VM backend
     /// only; empty for the tree-walker).
     pub ic_profile: Vec<jns_obs::IcSiteProfile>,
-    /// The trace buffer handed to [`Compiled::run_observed`], with the
+    /// The trace buffer handed to [`Compiled::run_with`], with the
     /// events the run appended; `None` when tracing was off.
     pub trace: Option<jns_obs::TraceBuffer>,
     /// The sampling profiler's collapsed stacks (see
@@ -324,37 +324,16 @@ impl Compiled {
     ///
     /// Same contract as [`Compiled::run`].
     pub fn run_on(&self, backend: Backend) -> Result<RunOutput, Error> {
-        self.run_observed(backend, None)
-    }
-
-    /// Runs `main` on an explicit backend with an optional trace buffer
-    /// attached; the buffer (with the run's GC and inline-cache-miss
-    /// events appended) comes back in [`RunOutput::trace`]. With `None`
-    /// the run is byte-identical to [`Compiled::run_on`] — every hook in
-    /// both engines is a branch on a `None` sink.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Compiled::run`]. On error the trace buffer is
-    /// dropped with the failed machine.
-    pub fn run_observed(
-        &self,
-        backend: Backend,
-        trace: Option<jns_obs::TraceBuffer>,
-    ) -> Result<RunOutput, Error> {
-        self.run_with(
-            backend,
-            RunOptions {
-                trace,
-                sample_stride: None,
-            },
-        )
+        self.run_with(backend, RunOptions::default())
     }
 
     /// Runs `main` on an explicit backend with the full set of
-    /// observability options: an optional trace buffer and, on the VM,
-    /// an optional sampling-profiler stride. The default options make
-    /// this identical to [`Compiled::run_on`].
+    /// observability options: an optional trace buffer (which comes back,
+    /// with the run's GC and inline-cache-miss events appended, in
+    /// [`RunOutput::trace`]) and, on the VM, an optional
+    /// sampling-profiler stride. The default options make this
+    /// byte-identical to [`Compiled::run_on`] — every hook in both
+    /// engines is a branch on a `None` sink.
     ///
     /// # Errors
     ///
@@ -470,17 +449,6 @@ impl Compiled {
             program: self.program.clone(),
             code: std::sync::Arc::clone(self.bytecode()),
         }
-    }
-
-    /// Runs an arbitrary `main` body against this program's classes by
-    /// recompiling with the given main block. Convenience for harnesses.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile/run errors.
-    pub fn run_main(src_classes: &str, main_body: &str) -> Result<RunOutput, Error> {
-        let full = format!("{src_classes}\nmain {{\n{main_body}\n}}");
-        Compiler::new().compile(&full)?.run()
     }
 }
 

@@ -22,10 +22,7 @@
 //! Every benchmark carries its raw per-run samples (lower is better;
 //! the unit is the entry's convention, `"us"` throughout the repo), so a
 //! comparison recomputes the robust statistics instead of trusting the
-//! producer. Producers may append extra top-level keys (e.g. the serve
-//! suite's `speedup`); validators ignore them. The previous
-//! single-shot `jns-bench/1` layout is still accepted by `obs-check`
-//! for back-compat but is no longer produced.
+//! producer.
 
 use crate::json::Json;
 use crate::stats::{self, Summary, Tolerance, Verdict};
@@ -114,7 +111,7 @@ impl BenchEntry {
 /// One suite's trajectory document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchDoc {
-    /// Suite id (`"vm"`, `"dispatch"`, `"gc"`, `"serve"`).
+    /// Suite id (`"vm"`, `"dispatch"`, `"gc"`, `"serve"`, `"paper"`).
     pub suite: String,
     /// Measurement environment.
     pub env: BenchEnv,
@@ -124,9 +121,6 @@ pub struct BenchDoc {
     pub warmup: u32,
     /// The measured benchmarks, in a stable producer-chosen order.
     pub benchmarks: Vec<BenchEntry>,
-    /// Extra top-level facts (e.g. `("speedup", 3.1.into())`), appended
-    /// after the required keys; validators ignore them.
-    pub extra: Vec<(&'static str, Json)>,
 }
 
 impl BenchDoc {
@@ -138,14 +132,13 @@ impl BenchDoc {
             repeats,
             warmup,
             benchmarks: Vec::new(),
-            extra: Vec::new(),
         }
     }
 
     /// Renders the stable-schema JSON document (one line, no trailing
     /// newline).
     pub fn to_json(&self) -> String {
-        let mut pairs = vec![
+        Json::obj(vec![
             ("schema", BENCH_SCHEMA.into()),
             ("suite", self.suite.as_str().into()),
             ("env", self.env.to_json()),
@@ -160,9 +153,8 @@ impl BenchDoc {
                 "benchmarks",
                 Json::Arr(self.benchmarks.iter().map(BenchEntry::to_json).collect()),
             ),
-        ];
-        pairs.extend(self.extra.iter().map(|(k, v)| (*k, v.clone())));
-        Json::obj(pairs).to_string()
+        ])
+        .to_string()
     }
 }
 

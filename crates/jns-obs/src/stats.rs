@@ -3,8 +3,7 @@
 //!
 //! Benchmark numbers from shared CI runners are noisy; a single timed
 //! pass is worthless as a regression signal. This module provides the
-//! measurement discipline the `jns bench` driver and `jns bench-serve`
-//! share:
+//! measurement discipline of the `jns bench` driver:
 //!
 //! - [`sample_us`] — run a workload `warmup` times unmeasured (to fill
 //!   inline caches, lazy tables, and the allocator), then `runs` times

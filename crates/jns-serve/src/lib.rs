@@ -29,7 +29,8 @@
 //! unbounded buffering); responses flow back over an unbounded channel,
 //! so workers never block on the way out and the submit/collect pair
 //! cannot deadlock. [`serve_batch`] is the one-call driver used by the
-//! `jns serve` / `jns bench-serve` CLI and the determinism test suite.
+//! `jns serve` CLI, the `serve` suite of `jns bench`, and the determinism
+//! test suite.
 
 #![warn(missing_docs)]
 

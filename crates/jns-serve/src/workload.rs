@@ -1,5 +1,5 @@
-//! The §2.4 service-dispatch batch workload, shared by `jns bench-serve`,
-//! the serve bench, and the determinism suite.
+//! The §2.4 service-dispatch batch workload, shared by the `serve` suite
+//! of `jns bench` and the determinism suite.
 //!
 //! One *request* is one full service lifecycle: build the dispatcher
 //! wiring, dispatch a stream of packets, evolve the live system from

@@ -43,20 +43,17 @@
 //!       aggregate counters plus queue-wait/exec histograms
 //!   jns bench [--suite NAME]… [--repeat N] [--warmup N] [--out-dir DIR]
 //!       the performance-trajectory driver: runs the benchmark suites
-//!       (`vm`, `dispatch`, `gc`, `serve` — all four by default) with
-//!       warmup passes and repeated measured runs, and writes one
-//!       `jns-bench/2` document per suite (`BENCH_<suite>.json`)
-//!   jns bench --compare OLD.json NEW.json [--frac F] [--gate NAME]...
+//!       (`vm`, `dispatch`, `gc`, `serve`, `paper` — all five by
+//!       default) with warmup passes and repeated measured runs, and
+//!       writes one `jns-bench/2` document per suite
+//!       (`BENCH_<suite>.json`)
+//!   jns bench --compare OLD.json NEW.json [--frac F] [--gate FAST:SLOW]...
 //!       compares two `jns-bench/2` documents with the noise-tolerant
 //!       comparator (relative band `--frac`, default 0.25, widened by
 //!       the observed MAD); exit 0 = within tolerance, 2 = regression,
-//!       3 = a `--gate`-named benchmark regressed (hard CI failure),
-//!       1 = malformed document or I/O error
-//!   jns bench-serve [--workers N] [--requests N] [--packets N]
-//!                   [--repeat N] [--json PATH]
-//!       the §2.4 service-dispatch batch workload on 1 worker and on N
-//!       workers, `--repeat` timed batches each; writes a `jns-bench/2`
-//!       suite with the speedup to PATH (default BENCH_serve.json)
+//!       3 = a `--gate`d FAST benchmark's median is not below SLOW's in
+//!       NEW (hard CI failure), 1 = malformed document, unknown gate
+//!       name or I/O error
 //!   jns trace-report <file.jsonl>
 //!       analyzes a `--trace` JSONL stream: phase timings, request
 //!       latency table, GC pauses, the top inline-cache-miss sites, and
@@ -82,8 +79,7 @@ fn usage() -> ExitCode {
          \x20      jns check <file.jns>\n\
          \x20      jns serve [--workers N] [--requests N] [--queue N] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--stats] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
          \x20      jns bench [--suite NAME]... [--repeat N] [--warmup N] [--out-dir DIR]\n\
-         \x20      jns bench --compare OLD.json NEW.json [--frac F] [--gate NAME]...\n\
-         \x20      jns bench-serve [--workers N] [--requests N] [--packets N] [--repeat N] [--json PATH]\n\
+         \x20      jns bench --compare OLD.json NEW.json [--frac F] [--gate FAST:SLOW]...\n\
          \x20      jns trace-report <file.jsonl>"
     );
     ExitCode::FAILURE
@@ -248,25 +244,25 @@ fn print_stats(out: &RunOutput, total_chunks: usize) {
     }
     if s.fused > 0 {
         eprintln!("dispatch engine {} fused sites", s.fused);
-        // Polymorphic sites scan more than one cache entry per probe;
-        // listing them points at the next optimisation target.
-        let mut poly: Vec<_> = out.ic_profile.iter().filter(|p| p.entries >= 2).collect();
-        poly.sort_by(|a, b| {
-            (b.hits + b.misses)
-                .cmp(&(a.hits + a.misses))
-                .then(a.name.cmp(&b.name))
-        });
-        if !poly.is_empty() {
-            eprintln!("  still-polymorphic sites:");
-            for p in poly.iter().take(8) {
-                eprintln!(
-                    "  {:>10}  {} ({} views, {} misses)",
-                    p.hits + p.misses,
-                    p.name,
-                    p.entries,
-                    p.misses
-                );
-            }
+    }
+    // Polymorphic sites scan more than one cache entry per probe;
+    // listing them points at the next optimisation target.
+    let mut poly: Vec<_> = out.ic_profile.iter().filter(|p| p.entries >= 2).collect();
+    poly.sort_by(|a, b| {
+        (b.hits + b.misses)
+            .cmp(&(a.hits + a.misses))
+            .then(a.name.cmp(&b.name))
+    });
+    if !poly.is_empty() {
+        eprintln!("  still-polymorphic sites:");
+        for p in poly.iter().take(8) {
+            eprintln!(
+                "  {:>10}  {} ({} views, {} misses)",
+                p.hits + p.misses,
+                p.name,
+                p.entries,
+                p.misses
+            );
         }
     }
     if !out.chunk_profile.is_empty() {
@@ -688,11 +684,14 @@ fn read_json(path: &str) -> Result<Json, ExitCode> {
     })
 }
 
-/// `jns bench --compare OLD NEW [--frac F] [--gate NAME]...`: the
+/// `jns bench --compare OLD NEW [--frac F] [--gate FAST:SLOW]...`: the
 /// regression gate. Exit 0 = within tolerance, 1 = unreadable/malformed
-/// document, 2 = at least one benchmark regressed beyond tolerance,
-/// 3 = a `--gate`-named benchmark regressed (a hard CI failure even
-/// where plain regressions only warn).
+/// document or a gate naming a benchmark either document lacks, 2 = at
+/// least one benchmark regressed beyond tolerance, 3 = a gate failed:
+/// FAST's median is not below SLOW's in NEW (a hard CI failure even
+/// where plain regressions only warn). A gate compares two arms of one
+/// run, so it holds on any host; an absolute regression depends on the
+/// host that pinned OLD.
 fn cmd_bench_compare(mut args: Vec<String>) -> ExitCode {
     let frac = match take_path(&mut args, "--frac") {
         Ok(Some(v)) => match v.parse::<f64>() {
@@ -705,10 +704,16 @@ fn cmd_bench_compare(mut args: Vec<String>) -> ExitCode {
         Ok(None) => Tolerance::default().frac,
         Err(code) => return code,
     };
-    let mut gates: Vec<String> = Vec::new();
+    let mut gates: Vec<(String, String)> = Vec::new();
     loop {
         match take_path(&mut args, "--gate") {
-            Ok(Some(g)) => gates.push(g),
+            Ok(Some(g)) => match g.split_once(':') {
+                Some((fast, slow)) => gates.push((fast.to_string(), slow.to_string())),
+                None => {
+                    eprintln!("error: --gate {g}: expected FAST:SLOW");
+                    return ExitCode::FAILURE;
+                }
+            },
             Ok(None) => break,
             Err(code) => return code,
         }
@@ -746,25 +751,29 @@ fn cmd_bench_compare(mut args: Vec<String>) -> ExitCode {
     for name in &report.added_in_new {
         eprintln!("added      {name} (not in baseline)");
     }
-    // A gate name must resolve: a silently missing gated benchmark would
-    // turn the hard gate into a no-op.
-    for g in &gates {
-        if !report.lines.iter().any(|l| &l.name == g) {
-            eprintln!("error: --gate {g}: no such benchmark in both documents");
+    let new_median = |name: &str| {
+        report
+            .lines
+            .iter()
+            .find(|l| l.name == name)
+            .map(|l| l.new.median)
+    };
+    let mut gate_failed = false;
+    for (fast, slow) in &gates {
+        // A gate name must resolve: a silently missing gated benchmark
+        // would turn the hard gate into a no-op.
+        let (Some(f), Some(s)) = (new_median(fast), new_median(slow)) else {
+            eprintln!("error: --gate {fast}:{slow}: no such benchmark in both documents");
             return ExitCode::FAILURE;
-        }
-    }
-    let gated: Vec<&str> = report
-        .lines
-        .iter()
-        .filter(|l| l.verdict.as_str() == "regressed" && gates.iter().any(|g| g == &l.name))
-        .map(|l| l.name.as_str())
-        .collect();
-    if !gated.is_empty() {
+        };
+        let verdict = if f < s { "gate ok" } else { "gate FAIL" };
         eprintln!(
-            "gated benchmark(s) regressed beyond tolerance: {}",
-            gated.join(", ")
+            "{verdict:<10} {fast} {f} µs vs {slow} {s} µs ({:.2}×)",
+            f as f64 / s.max(1) as f64
         );
+        gate_failed |= f >= s;
+    }
+    if gate_failed {
         return ExitCode::from(3);
     }
     let n = report.regressions();
@@ -866,113 +875,6 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
         }
         eprintln!("wrote {path}");
     }
-    ExitCode::SUCCESS
-}
-
-/// One bench arm (`single` / `multi`) as a detail JSON object (carried
-/// as extra keys on the `jns-bench/2` serve document).
-fn bench_arm_json(report: &jns_serve::ServeReport) -> jns_obs::Json {
-    let t = &report.telemetry;
-    jns_obs::Json::obj(vec![
-        ("workers", report.workers.into()),
-        ("requests", report.responses.len().into()),
-        ("elapsed_us", (report.elapsed.as_micros() as u64).into()),
-        ("rps", report.throughput_rps().into()),
-        ("queue_wait_us", t.queue_wait.to_json()),
-        ("exec_us", t.exec.to_json()),
-        ("queue_high_water", t.queue_high_water.into()),
-        ("submit_blocked", t.submit_blocked.into()),
-    ])
-}
-
-fn cmd_bench_serve(mut args: Vec<String>) -> ExitCode {
-    let (workers, requests, packets, repeat) = match (
-        take_opt(&mut args, "--workers", 4),
-        take_opt(&mut args, "--requests", 64),
-        take_opt(&mut args, "--packets", 60),
-        take_opt(&mut args, "--repeat", 5),
-    ) {
-        (Ok(w), Ok(r), Ok(p), Ok(n)) => (w.max(1), r.max(1), p.max(1) as u32, n.max(1) as u32),
-        (Err(m), _, _, _) | (_, Err(m), _, _) | (_, _, Err(m), _) | (_, _, _, Err(m)) => {
-            eprintln!("error: {m}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let json_path = match take_path(&mut args, "--json") {
-        Ok(p) => p.unwrap_or_else(|| "BENCH_serve.json".to_string()),
-        Err(code) => return code,
-    };
-    if args.len() != 1 {
-        return usage();
-    }
-    let src = jns_serve::workload::service_dispatch(packets);
-    let compiled = match Compiler::new().with_backend(Backend::Vm).compile(&src) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("internal workload does not compile: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "§2.4 service-dispatch batch: {requests} requests × {packets} packets, \
-         {repeat} timed batches per arm"
-    );
-    // One warmup batch plus `repeat` timed batches per arm; each timed
-    // batch contributes one whole-batch wall-clock sample.
-    let measure = |workers: usize| -> (Vec<u64>, jns_serve::ServeReport) {
-        let cfg = ServeConfig::with_workers(workers);
-        let mut last = serve_batch(&compiled, &cfg, requests);
-        let mut samples = Vec::with_capacity(repeat as usize);
-        for _ in 0..repeat {
-            last = serve_batch(&compiled, &cfg, requests);
-            samples.push(last.elapsed.as_micros().min(u64::MAX as u128) as u64);
-        }
-        (samples, last)
-    };
-    let (single_samples, single) = measure(1);
-    report_serve(&single, false);
-    let (multi_samples, multi) = measure(workers as usize);
-    report_serve(&multi, false);
-    if !single.uniform() || !multi.uniform() {
-        eprintln!("error: outputs diverged across requests");
-        return ExitCode::FAILURE;
-    }
-    if single.responses.first().map(|r| (&r.output, &r.value))
-        != multi.responses.first().map(|r| (&r.output, &r.value))
-    {
-        eprintln!("error: outputs diverged between worker counts");
-        return ExitCode::FAILURE;
-    }
-    let median_single = jns_obs::median(&single_samples).max(1);
-    let median_multi = jns_obs::median(&multi_samples).max(1);
-    let speedup = median_single as f64 / median_multi as f64;
-    eprintln!(
-        "latency at {workers} workers: exec {}",
-        multi.telemetry.exec.render_line("µs")
-    );
-    eprintln!("speedup at {workers} workers (median batch): {speedup:.2}x");
-    let mut doc = BenchDoc::new("serve", repeat, 1);
-    for (samples, pool) in [(single_samples, 1u64), (multi_samples, workers)] {
-        doc.benchmarks.push(BenchEntry {
-            name: format!("serve_batch/pool{pool}"),
-            unit: "us",
-            workload: "serve_batch".to_string(),
-            backend: format!("pool{pool}"),
-            samples,
-        });
-    }
-    doc.extra = vec![
-        ("workload", "service_dispatch".into()),
-        ("packets", packets.into()),
-        ("requests", requests.into()),
-        ("speedup", speedup.into()),
-        ("single", bench_arm_json(&single)),
-        ("multi", bench_arm_json(&multi)),
-    ];
-    if write_text(&json_path, &(doc.to_json() + "\n")).is_err() {
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {json_path}");
     ExitCode::SUCCESS
 }
 
@@ -1141,7 +1043,6 @@ fn main() -> ExitCode {
         Some("run") | Some("check") => cmd_run(args),
         Some("serve") => cmd_serve(args),
         Some("bench") => cmd_bench(args),
-        Some("bench-serve") => cmd_bench_serve(args),
         Some("trace-report") => cmd_trace_report(args),
         _ => usage(),
     }

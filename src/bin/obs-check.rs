@@ -7,7 +7,7 @@
 //!   obs-check trace <file.jsonl>    a `jns-trace/1` JSON Lines stream
 //!                                   (from `--trace`)
 //!   obs-check bench <file.json>     a `jns-bench/2` suite document
-//!                                   (from `jns bench` / `jns bench-serve`)
+//!                                   (from `jns bench`)
 //!   obs-check folded <file.txt>     collapsed-stack sampler output
 //!                                   (from `--profile-folded`)
 //!

@@ -3,19 +3,18 @@
 //!
 //! - **The regression gate sees planted regressions.** `jns bench
 //!   --compare` exits 0 on identical documents, 2 when a benchmark's
-//!   samples are scaled far past tolerance, and 1 on malformed input —
-//!   the three-way protocol CI's warn-vs-fail logic relies on.
-//! - **`bench-serve` emits a valid `jns-bench/2` suite** that
-//!   `obs-check bench` accepts, with one entry per pool arm and the
-//!   speedup as an extra key.
-//! - **`bench --out-dir` creates a missing directory**, and fails
-//!   before measuring anything when it cannot.
+//!   samples are scaled far past tolerance, 3 when a `--gate FAST:SLOW`
+//!   pair's fast arm is not faster, and 1 on malformed input or an
+//!   unknown gate name — the protocol CI's warn-vs-fail logic relies on.
+//! - **`bench --out-dir` creates a missing directory**, writes a suite
+//!   that `obs-check bench` accepts, and fails before measuring anything
+//!   when it cannot create the directory.
 //! - **Dropped trace events surface.** A serve run whose per-worker
 //!   trace buffers are too small reports a non-zero drop count in its
 //!   telemetry instead of failing silently.
 
 use jns_core::{Backend, Compiler};
-use jns_obs::{BenchDoc, BenchEntry, Json};
+use jns_obs::{BenchDoc, BenchEntry};
 use jns_serve::{serve_batch, ServeConfig};
 use std::path::PathBuf;
 use std::process::Command;
@@ -27,24 +26,37 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn write_doc(dir: &std::path::Path, name: &str, samples: &[u64]) -> PathBuf {
-    let mut doc = BenchDoc::new("vm", samples.len() as u32, 1);
-    doc.benchmarks.push(BenchEntry {
-        name: "lambda_translate/vm".into(),
-        unit: "us",
-        workload: "lambda".into(),
-        backend: "vm".into(),
-        samples: samples.to_vec(),
-    });
-    let path = dir.join(name);
+    write_entries(dir, name, &[("lambda_translate/vm", samples)])
+}
+
+/// Writes a suite document with one entry per `(name, samples)` pair.
+fn write_entries(dir: &std::path::Path, file: &str, entries: &[(&str, &[u64])]) -> PathBuf {
+    let mut doc = BenchDoc::new("vm", entries[0].1.len() as u32, 1);
+    for (name, samples) in entries {
+        doc.benchmarks.push(BenchEntry {
+            name: name.to_string(),
+            unit: "us",
+            workload: "lambda".into(),
+            backend: "vm".into(),
+            samples: samples.to_vec(),
+        });
+    }
+    let path = dir.join(file);
     std::fs::write(&path, doc.to_json() + "\n").expect("write doc");
     path
 }
 
 fn compare(old: &std::path::Path, new: &std::path::Path) -> i32 {
+    compare_with(old, new, &[])
+}
+
+/// The exit code of `jns bench --compare OLD NEW` with `extra` arguments.
+fn compare_with(old: &std::path::Path, new: &std::path::Path, extra: &[&str]) -> i32 {
     Command::new(env!("CARGO_BIN_EXE_jns"))
         .args(["bench", "--compare"])
         .arg(old)
         .arg(new)
+        .args(extra)
         .output()
         .expect("spawn jns")
         .status
@@ -68,53 +80,17 @@ fn compare_gate_distinguishes_clean_regressed_and_malformed() {
     assert_eq!(compare(&base, &slow), 2, "planted regression must gate");
     assert_eq!(compare(&slow, &base), 0, "improvements never gate");
     assert_eq!(compare(&base, &garbage), 1, "malformed input is an error");
-    std::fs::remove_dir_all(&dir).ok();
-}
 
-#[test]
-fn bench_serve_emits_valid_v2_suite() {
-    let dir = temp_dir("serve");
-    let out = dir.join("BENCH_serve.json");
-    let status = Command::new(env!("CARGO_BIN_EXE_jns"))
-        .args([
-            "bench-serve",
-            "--requests",
-            "4",
-            "--packets",
-            "3",
-            "--repeat",
-            "2",
-            "--workers",
-            "2",
-            "--json",
-        ])
-        .arg(&out)
-        .status()
-        .expect("spawn jns");
-    assert!(status.success(), "bench-serve must succeed");
-
-    let check = Command::new(env!("CARGO_BIN_EXE_obs-check"))
-        .arg("bench")
-        .arg(&out)
-        .status()
-        .expect("spawn obs-check");
-    assert!(check.success(), "obs-check must accept the suite");
-
-    let doc =
-        jns_obs::json::parse(std::fs::read_to_string(&out).expect("read").trim()).expect("parses");
-    jns_obs::validate_bench(&doc).expect("validates as jns-bench/2");
-    let names: Vec<&str> = doc
-        .get("benchmarks")
-        .and_then(Json::as_arr)
-        .expect("benchmarks")
-        .iter()
-        .filter_map(|b| b.get("name").and_then(Json::as_str))
-        .collect();
-    assert_eq!(names, ["serve_batch/pool1", "serve_batch/pool2"]);
-    assert!(
-        doc.get("speedup").and_then(Json::as_f64).is_some(),
-        "speedup rides along as an extra key"
+    // A gate pairs two arms of the new document.
+    let arms = write_entries(
+        &dir,
+        "arms.json",
+        &[("fast", &[100, 101, 99]), ("slow", &[200, 201, 199])],
     );
+    let gate = |pair: &str| compare_with(&arms, &arms, &["--gate", pair]);
+    assert_eq!(gate("fast:slow"), 0, "the fast arm is faster");
+    assert_eq!(gate("slow:fast"), 3, "a swapped pair must fail hard");
+    assert_eq!(gate("fast:nope"), 1, "an unknown arm is an error");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -135,9 +111,15 @@ fn bench_creates_a_missing_out_dir_before_measuring() {
     let nested = dir.join("a").join("b");
     let out = bench_serve_suite_into(&nested);
     assert!(out.status.success(), "bench must create {nested:?}");
-    let text = std::fs::read_to_string(nested.join("BENCH_serve.json")).expect("read");
-    let doc = jns_obs::json::parse(text.trim()).expect("parses");
-    jns_obs::validate_bench(&doc).expect("validates as jns-bench/2");
+    let check = Command::new(env!("CARGO_BIN_EXE_obs-check"))
+        .arg("bench")
+        .arg(nested.join("BENCH_serve.json"))
+        .output()
+        .expect("spawn obs-check");
+    assert!(
+        check.status.success(),
+        "obs-check rejects the suite: {check:?}"
+    );
 
     // A directory under a regular file cannot be created: exit 1, and
     // no suite may have started.

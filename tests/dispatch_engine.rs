@@ -4,7 +4,8 @@
 //! the whole paper corpus — including under a tight heap limit, across
 //! random knob combinations (against the tree-walking reference),
 //! through a hot call site whose receiver is re-viewed, and across serve
-//! pools of every size.
+//! pools of every size. `jns run --vm --stats` lists the still-polymorphic
+//! inline-cache sites under both settings.
 //!
 //! The one intentional difference: fusion collapses instruction pairs,
 //! so `Stats::steps` differs between fused and unfused bytecode (it is a
@@ -15,6 +16,7 @@ use jns_core::{Backend, Compiler, Error};
 use jns_eval::RtError;
 use jns_serve::{serve_batch, ServeConfig};
 use proptest::prelude::*;
+use std::process::Command;
 
 mod corpus;
 use corpus::{PAPER_EXAMPLES, PAPER_FIGURES};
@@ -178,6 +180,45 @@ fn re_viewed_receiver_rebinds_hot_call_site() {
         .expect("runs");
     assert_eq!(tree.output, vm.output);
     assert_eq!(tree.stats.calls, vm.stats.calls);
+}
+
+/// The `--stats` list of still-polymorphic sites is an inline-cache
+/// report, so it must not depend on whether fusion ran.
+#[test]
+fn stats_list_polymorphic_sites_with_and_without_fusion() {
+    let src = "class A {
+                 class C { int f() { return 1; } }
+                 class D extends C { int f() { return 2; } }
+               }
+               class H {
+                 A.C t;
+                 int go() { return this.t.f(); }
+               }
+               main {
+                 final H h = new H { t = new A.C() };
+                 final int a = h.go();
+                 h.t = new A.D();
+                 print a + h.go();
+               }";
+    let path = std::env::temp_dir().join(format!("jns-poly-sites-{}.jns", std::process::id()));
+    std::fs::write(&path, src).expect("write program");
+    for no_fuse in [None, Some("--no-fuse")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_jns"))
+            .args(["run", "--vm", "--stats"])
+            .args(no_fuse)
+            .arg(&path)
+            .output()
+            .expect("spawn jns");
+        assert!(out.status.success(), "{no_fuse:?}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "3\n");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("still-polymorphic sites:")
+                && stderr.contains("call f (2 views, 2 misses)"),
+            "{no_fuse:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// Serve determinism across pool sizes and engine settings: every worker

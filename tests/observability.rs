@@ -16,7 +16,7 @@
 //!   high-water mark respects capacity, and the traced request
 //!   start/end events pair up per id.
 
-use jns_core::{Backend, Compiler, RunOutput};
+use jns_core::{Backend, Compiler, RunOptions, RunOutput};
 use jns_obs::{Json, TraceBuffer, TraceEvent};
 use jns_serve::{serve_batch, ServeConfig};
 
@@ -25,6 +25,14 @@ use corpus::{PAPER_EXAMPLES, PAPER_FIGURES};
 
 fn corpus_programs() -> impl Iterator<Item = (&'static str, &'static str)> {
     PAPER_EXAMPLES.iter().chain(PAPER_FIGURES.iter()).copied()
+}
+
+/// Run options with a default-capacity trace buffer attached.
+fn traced_options() -> RunOptions {
+    RunOptions {
+        trace: Some(TraceBuffer::new(jns_obs::DEFAULT_TRACE_CAP)),
+        ..RunOptions::default()
+    }
 }
 
 /// The observable footprint of a run. `Stats` is compared via its Debug
@@ -44,9 +52,8 @@ fn tracing_does_not_change_observable_behaviour_on_either_backend() {
             .compile(src)
             .unwrap_or_else(|e| panic!("{name} compiles: {e}"));
         for backend in [Backend::TreeWalk, Backend::Vm] {
-            let plain = compiled.run_observed(backend, None);
-            let traced =
-                compiled.run_observed(backend, Some(TraceBuffer::new(jns_obs::DEFAULT_TRACE_CAP)));
+            let plain = compiled.run_on(backend);
+            let traced = compiled.run_with(backend, traced_options());
             match (plain, traced) {
                 (Ok(p), Ok(t)) => {
                     assert_eq!(
@@ -87,10 +94,7 @@ fn corpus_trace_streams_are_schema_valid_jsonl() {
             .with_heap_limit(64) // force GC events into some traces
             .compile(src)
             .unwrap_or_else(|e| panic!("{name} compiles: {e}"));
-        let Ok(out) = compiled.run_observed(
-            Backend::Vm,
-            Some(TraceBuffer::new(jns_obs::DEFAULT_TRACE_CAP)),
-        ) else {
+        let Ok(out) = compiled.run_with(Backend::Vm, traced_options()) else {
             continue; // error-path programs covered by the differential above
         };
         let buf = out.trace.expect("traced run returns its buffer");
