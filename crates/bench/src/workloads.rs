@@ -27,7 +27,7 @@
 //! streams run to run); only wall-clock varies, which is what the
 //! `jns-obs` robust statistics are for.
 
-use jns_core::{lambda, service, Backend, Compiler};
+use jns_core::{lambda, service, Backend, Compiler, RunConfig};
 use jns_rt::shared::TreeBench;
 use jns_rt::{MethodId, ObjRef, Runtime, Strategy, Val};
 use jns_serve::{serve_batch, ServeConfig};
@@ -458,19 +458,19 @@ fn gc_suite() -> Vec<Workload> {
         }
     }
     // Generational ablation: the same retained-set churn under the
-    // stop-the-world collector versus a nursery. `Compiler::default()`
-    // (not `new()`) so a `JNS_NURSERY` in the environment cannot turn
-    // the stop-the-world arm generational — each arm pins its own mode.
+    // stop-the-world collector versus a nursery.
     let gen_src = retained_churn_program(GC_GEN_RETAINED, CHURN);
     for (be, label) in backend_pair() {
         for (mode, nursery) in [("stw", None), ("gen", Some(GC_GEN_NURSERY))] {
-            let mut compiler = Compiler::default()
+            let compiled = Compiler::new()
                 .with_backend(be)
-                .with_heap_limit(GC_GEN_LIMIT);
-            if let Some(n) = nursery {
-                compiler = compiler.with_nursery(n);
-            }
-            let compiled = compiler.compile(&gen_src).expect("retained churn compiles");
+                .with_config(RunConfig {
+                    heap_limit: Some(GC_GEN_LIMIT),
+                    nursery,
+                    ..RunConfig::default()
+                })
+                .compile(&gen_src)
+                .expect("retained churn compiles");
             let generational = nursery.is_some();
             out.push(Workload::new(
                 "gc_gen_churn",

@@ -33,7 +33,7 @@ pub mod service;
 
 use std::fmt;
 
-pub use jns_eval::{Machine, RtError, Stats, Value};
+pub use jns_eval::{Machine, RtError, RunConfig, Stats, Value};
 pub use jns_syntax::{parse, ParseError, Program};
 pub use jns_types::{check, CheckedProgram, TypeError};
 
@@ -97,26 +97,10 @@ pub enum Backend {
     Vm,
 }
 
-/// The nursery capacity requested by the `JNS_NURSERY` environment
-/// variable, if set to a positive integer. [`Compiler::new`] and
-/// `jns_serve::ServeConfig` use this as their default, which is how CI
-/// forces generational collection onto whole test suites (e.g.
-/// `JNS_NURSERY=8 cargo test --test gc`) without per-call plumbing.
-/// Explicit `--nursery` / [`Compiler::with_nursery`] settings win.
-pub fn env_nursery() -> Option<usize> {
-    std::env::var("JNS_NURSERY")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
-
 /// The compiler front door.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Compiler {
-    fuel: Option<u64>,
-    max_depth: Option<u32>,
-    heap_limit: Option<usize>,
-    nursery: Option<usize>,
+    run: RunConfig,
     infer_constraints: bool,
     backend: Backend,
     // The fusion ablation knob, stored negated so `Default` (false)
@@ -125,55 +109,42 @@ pub struct Compiler {
 }
 
 impl Compiler {
-    /// Creates a compiler with default settings (the nursery defaults
-    /// from [`env_nursery`], so test suites can be forced generational
-    /// wholesale).
+    /// Creates a compiler with default settings.
     pub fn new() -> Self {
-        Self {
-            nursery: env_nursery(),
-            ..Self::default()
-        }
+        Self::default()
+    }
+
+    /// Sets every run limit for [`Compiled::run`] at once (see
+    /// [`RunConfig`]). The single-limit setters below are shorthands.
+    pub fn with_config(mut self, run: RunConfig) -> Self {
+        self.run = run;
+        self
     }
 
     /// Limits execution fuel for [`Compiled::run`].
     pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = Some(fuel);
+        self.run.fuel = Some(fuel);
         self
     }
 
-    /// Sets the recursion-depth limit for [`Compiled::run`] (method
-    /// activations plus nested field initialisers; default
-    /// [`jns_eval::DEFAULT_MAX_DEPTH`]). Both backends run on explicit
-    /// heap-allocated stacks, so large limits are safe: exceeding the
-    /// limit returns the benign [`RtError::DepthExceeded`] instead of
-    /// crashing the process.
+    /// Sets the recursion-depth limit for [`Compiled::run`] (default
+    /// [`jns_eval::DEFAULT_MAX_DEPTH`]; see [`RunConfig::max_depth`]).
     pub fn with_max_depth(mut self, max_depth: u32) -> Self {
-        self.max_depth = Some(max_depth);
+        self.run.max_depth = Some(max_depth);
         self
     }
 
-    /// Sets the live-heap threshold for [`Compiled::run`] (both backends
-    /// run on the shared [`jns_eval::Heap`]): once this many objects are
-    /// live, the next allocation first runs a mark-compact tracing
-    /// collection over the machine's explicit stacks, so a single giant
-    /// request keeps a bounded live heap instead of growing monotonically.
-    /// Unset (the default) disables the collector, with byte-identical
-    /// behaviour to an unlimited heap.
+    /// Sets the live-heap threshold for [`Compiled::run`] (see
+    /// [`RunConfig::heap_limit`]).
     pub fn with_heap_limit(mut self, heap_limit: usize) -> Self {
-        self.heap_limit = Some(heap_limit);
+        self.run.heap_limit = Some(heap_limit);
         self
     }
 
-    /// Sets the nursery capacity for generational collection on
-    /// [`Compiled::run`] (effective only alongside a heap limit): new
-    /// objects bump-allocate into the nursery, a full nursery triggers a
-    /// cheap *minor* collection that promotes survivors, and the
-    /// existing full mark-compact remains the *major* collection.
-    /// Outputs and semantic statistics are identical with the nursery on
-    /// or off; only GC cost and the `minor_runs`/`major_runs`/
-    /// `promoted`/`barrier_hits` counters move.
+    /// Sets the nursery capacity for [`Compiled::run`] (see
+    /// [`RunConfig::nursery`]).
     pub fn with_nursery(mut self, nursery: usize) -> Self {
-        self.nursery = Some(nursery);
+        self.run.nursery = Some(nursery);
         self
     }
 
@@ -226,10 +197,7 @@ impl Compiler {
         let check_us = check_start.elapsed().as_micros() as u64;
         Ok(Compiled {
             program: checked,
-            fuel: self.fuel,
-            max_depth: self.max_depth,
-            heap_limit: self.heap_limit,
-            nursery: self.nursery,
+            run: self.run,
             backend: self.backend,
             no_fuse: self.no_fuse,
             bytecode: std::sync::OnceLock::new(),
@@ -254,10 +222,7 @@ pub struct CompileTimings {
 pub struct Compiled {
     /// The checked program (public: benches poke at the class table).
     pub program: CheckedProgram,
-    fuel: Option<u64>,
-    max_depth: Option<u32>,
-    heap_limit: Option<usize>,
-    nursery: Option<usize>,
+    run: RunConfig,
     backend: Backend,
     no_fuse: bool,
     /// Lazily lowered bytecode, shared (via `Arc`) by every VM run of
@@ -346,19 +311,7 @@ impl Compiled {
         } = opts;
         match backend {
             Backend::TreeWalk => {
-                let mut m = Machine::new(&self.program);
-                if let Some(f) = self.fuel {
-                    m = m.with_fuel(f);
-                }
-                if let Some(d) = self.max_depth {
-                    m = m.with_max_depth(d);
-                }
-                if let Some(l) = self.heap_limit {
-                    m = m.with_heap_limit(l);
-                }
-                if let Some(n) = self.nursery {
-                    m = m.with_nursery(n);
-                }
+                let mut m = Machine::new(&self.program).with_config(self.run);
                 if let Some(t) = trace {
                     m.set_trace(t);
                 }
@@ -374,19 +327,7 @@ impl Compiled {
                 })
             }
             Backend::Vm => {
-                let mut vm = self.spawn_vm();
-                if let Some(f) = self.fuel {
-                    vm = vm.with_fuel(f);
-                }
-                if let Some(d) = self.max_depth {
-                    vm = vm.with_max_depth(d);
-                }
-                if let Some(l) = self.heap_limit {
-                    vm = vm.with_heap_limit(l);
-                }
-                if let Some(n) = self.nursery {
-                    vm = vm.with_nursery(n);
-                }
+                let mut vm = self.spawn_vm().with_config(self.run);
                 if let Some(t) = trace {
                     vm.set_trace(t);
                 }

@@ -30,7 +30,7 @@ pub mod value;
 
 pub use error::RtError;
 pub use heap::{GcStats, Heap, Obj};
-pub use machine::{Machine, Stats, DEFAULT_MAX_DEPTH};
+pub use machine::{Machine, RunConfig, Stats, DEFAULT_MAX_DEPTH};
 pub use value::{Loc, RefVal, Value};
 
 /// Convenience: parse, check, and run a source program, returning the

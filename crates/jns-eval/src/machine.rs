@@ -7,7 +7,7 @@
 //! `P = fclass(view, f)` selects the copy of a possibly duplicated field
 //! (§4.15). Implicit view changes are *lazy*: a field read re-views the
 //! stored value against the field type interpreted in the reader's view
-//! (R-GET). With a configured heap limit ([`Machine::with_heap_limit`]),
+//! (R-GET). With a heap limit configured ([`Machine::with_config`]),
 //! allocation triggers the heap's mark-compact collector, with roots
 //! enumerated from the explicit stacks described below.
 //!
@@ -21,7 +21,7 @@
 //! `Kont::AllocInit`) at method-call and field-initialiser boundaries.
 //! J&s call depth and expression nesting are therefore bounded only by
 //! heap memory and by one uniformly enforced, configurable limit
-//! ([`Machine::with_max_depth`], default [`DEFAULT_MAX_DEPTH`]) that
+//! ([`RunConfig::max_depth`], default [`DEFAULT_MAX_DEPTH`]) that
 //! returns [`RtError::DepthExceeded`] instead of aborting the process.
 //! The limit counts *recursion units*: method activations and nested
 //! field-initialiser evaluations — the same units the bytecode VM counts,
@@ -33,7 +33,7 @@
 //! after any `RtError`.
 
 use crate::error::RtError;
-use crate::heap::Heap;
+use crate::heap::{GcStats, Heap};
 use crate::typeeval;
 use crate::value::{Loc, MaskSet, RefVal, Value};
 use jns_syntax::{BinOp, UnOp};
@@ -123,6 +123,52 @@ impl Stats {
         self.barrier_hits += other.barrier_hits;
     }
 
+    /// The flat counters in their stable profile-document order. The
+    /// generational-GC counters appear only when the nursery engaged (a
+    /// minor collection ran or the barrier fired) and `fused` only when
+    /// nonzero, so stop-the-world, GC-off and `--no-fuse` documents keep
+    /// their exact shape.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        let mut counters = vec![
+            ("steps", self.steps),
+            ("allocs", self.allocs),
+            ("calls", self.calls),
+            ("views_explicit", self.views_explicit),
+            ("views_implicit", self.views_implicit),
+            ("mask_allocs", self.mask_allocs),
+            ("folded", self.folded),
+            ("ic_hits", self.ic_hits),
+            ("ic_misses", self.ic_misses),
+            ("gc_runs", self.gc_runs),
+            ("reclaimed", self.reclaimed),
+            ("peak_live", self.peak_live),
+        ];
+        if self.minor_runs > 0 || self.barrier_hits > 0 {
+            counters.push(("minor_runs", self.minor_runs));
+            counters.push(("major_runs", self.major_runs));
+            counters.push(("promoted", self.promoted));
+            counters.push(("barrier_hits", self.barrier_hits));
+        }
+        if self.fused > 0 {
+            counters.push(("fused", self.fused));
+        }
+        counters
+    }
+
+    /// Copies the heap's collector counters in. Both engines call this at
+    /// the end of every public entry point, and the VM after every
+    /// allocation.
+    #[inline]
+    pub fn sync_gc(&mut self, g: &GcStats) {
+        self.gc_runs = g.runs;
+        self.reclaimed = g.reclaimed;
+        self.peak_live = g.peak_live;
+        self.minor_runs = g.minor_runs;
+        self.major_runs = g.major_runs;
+        self.promoted = g.promoted;
+        self.barrier_hits = g.barrier_hits;
+    }
+
     /// The statistics that must be identical for every execution of the
     /// same program, regardless of backend warm-up state (inline-cache
     /// and interning counters depend on how warm a reused VM is, so they
@@ -141,6 +187,34 @@ impl Stats {
 /// The default recursion-depth limit, shared by both backends (method
 /// activations plus nested field-initialiser evaluations).
 pub const DEFAULT_MAX_DEPTH: u32 = 2_000;
+
+/// The run limits both engines take, as one value: the CLI, the
+/// `jns_core` facade and the serve pool all hand it to
+/// [`Machine::with_config`] or `jns_vm::Vm::with_config`. The default is
+/// no fuel limit, [`DEFAULT_MAX_DEPTH`], and the collector off.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RunConfig {
+    /// Execution fuel: AST nodes on the tree-walker, instructions on the
+    /// VM. Exhausting it is the benign [`RtError::OutOfFuel`]. `None` is
+    /// unlimited.
+    pub fuel: Option<u64>,
+    /// Recursion-depth limit: method activations plus nested
+    /// field-initialiser evaluations, counted the same way on both
+    /// engines. Both run on explicit heap stacks, so large limits are
+    /// safe: exceeding one is the benign [`RtError::DepthExceeded`].
+    /// `None` means [`DEFAULT_MAX_DEPTH`].
+    pub max_depth: Option<u32>,
+    /// Live-heap threshold: once this many objects are live, the next
+    /// allocation first runs a mark-compact collection over roots taken
+    /// from the engine's explicit stacks. `None` keeps the collector off,
+    /// byte-identical to an unlimited heap.
+    pub heap_limit: Option<usize>,
+    /// Nursery capacity for generational collection, effective only
+    /// alongside a heap limit: a full nursery runs a minor collection
+    /// (see [`crate::heap::Heap::set_nursery`]). Outputs and semantic
+    /// statistics are the same with or without it.
+    pub nursery: Option<usize>,
+}
 
 /// The abstract machine.
 #[derive(Debug)]
@@ -371,28 +445,13 @@ impl<'p> Machine<'p> {
         self.trace.as_mut()
     }
 
-    /// Limits execution to `fuel` steps (for property tests).
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = Some(fuel);
-        self
-    }
-
-    /// Sets the live-heap threshold: once this many objects are live, the
-    /// next allocation first runs a mark-compact collection over roots
-    /// enumerated from the machine's explicit control/value stacks and
-    /// environment frames. With no limit the collector never runs and
-    /// behaviour is byte-identical to an unlimited heap.
-    pub fn with_heap_limit(mut self, limit: usize) -> Self {
-        self.heap.set_limit(Some(limit));
-        self
-    }
-
-    /// Sets the nursery capacity for generational collection (effective
-    /// only alongside a heap limit): allocations go to the nursery and a
-    /// full nursery triggers a minor collection; see
-    /// [`crate::heap::Heap::set_nursery`].
-    pub fn with_nursery(mut self, nursery: usize) -> Self {
-        self.heap.set_nursery(Some(nursery));
+    /// Applies the run limits in `cfg`. The collector's roots are the
+    /// machine's explicit control/value stacks and environment frames.
+    pub fn with_config(mut self, cfg: RunConfig) -> Self {
+        self.fuel = cfg.fuel;
+        self.max_depth = cfg.max_depth.unwrap_or(DEFAULT_MAX_DEPTH);
+        self.heap.set_limit(cfg.heap_limit);
+        self.heap.set_nursery(cfg.nursery);
         self
     }
 
@@ -407,19 +466,6 @@ impl<'p> Machine<'p> {
         self.stats = Stats::default();
         self.depth = 0;
         reclaimed
-    }
-
-    /// Copies the heap's collector counters into [`Machine::stats`]
-    /// (called at the end of every public evaluation entry point).
-    fn sync_gc_stats(&mut self) {
-        let g = self.heap.gc_stats();
-        self.stats.gc_runs = g.runs;
-        self.stats.reclaimed = g.reclaimed;
-        self.stats.peak_live = g.peak_live;
-        self.stats.minor_runs = g.minor_runs;
-        self.stats.major_runs = g.major_runs;
-        self.stats.promoted = g.promoted;
-        self.stats.barrier_hits = g.barrier_hits;
     }
 
     /// Sets the recursion-depth limit (method activations plus nested
@@ -463,7 +509,7 @@ impl<'p> Machine<'p> {
         let mut ctrl: Vec<Work<'a>> = vec![Work::Eval(e)];
         let mut vals: Vec<Value> = Vec::new();
         let r = self.exec_loop(&mut frame, &mut ctrl, &mut vals);
-        self.sync_gc_stats();
+        self.stats.sync_gc(&self.heap.gc_stats());
         if r.is_err() {
             self.depth = entry_depth;
         }
@@ -910,7 +956,7 @@ impl<'p> Machine<'p> {
         let mut ctrl: Vec<Work<'p>> = vec![Work::Alloc { class, provided }];
         let mut vals: Vec<Value> = Vec::new();
         let r = self.exec_loop(&mut frame, &mut ctrl, &mut vals);
-        self.sync_gc_stats();
+        self.stats.sync_gc(&self.heap.gc_stats());
         if r.is_err() {
             self.depth = entry_depth;
         }
@@ -1041,7 +1087,7 @@ impl<'p> Machine<'p> {
         let res = self
             .begin_call(r, m, args, &mut frame, &mut ctrl)
             .and_then(|()| self.exec_loop(&mut frame, &mut ctrl, &mut vals));
-        self.sync_gc_stats();
+        self.stats.sync_gc(&self.heap.gc_stats());
         if res.is_err() {
             self.depth = entry_depth;
         }

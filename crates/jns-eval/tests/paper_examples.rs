@@ -1,7 +1,7 @@
 //! End-to-end executions of the paper's running examples (Figures 1-5)
 //! through parse → check → run.
 
-use jns_eval::{Machine, RtError};
+use jns_eval::{Machine, RtError, RunConfig};
 
 fn run(src: &str) -> Vec<String> {
     jns_eval::run_source(src).unwrap_or_else(|e| panic!("{e}"))
@@ -221,7 +221,10 @@ fn fuel_is_enforced() {
     let src = "main { while (true) { print 1; } }";
     let prog = jns_syntax::parse(src).unwrap();
     let checked = jns_types::check(&prog).unwrap();
-    let mut m = Machine::new(&checked).with_fuel(1000);
+    let mut m = Machine::new(&checked).with_config(RunConfig {
+        fuel: Some(1000),
+        ..RunConfig::default()
+    });
     assert_eq!(m.run().unwrap_err(), RtError::OutOfFuel);
 }
 

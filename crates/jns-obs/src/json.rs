@@ -90,11 +90,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Whether the value is an object.
-    pub fn is_obj(&self) -> bool {
-        matches!(self, Json::Obj(_))
-    }
 }
 
 impl From<u64> for Json {

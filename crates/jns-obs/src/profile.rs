@@ -233,8 +233,13 @@ pub fn validate_profile(doc: &Json) -> Result<(), String> {
         }
     }
     let counters = doc.get("counters").ok_or("missing `counters`")?;
-    if !counters.is_obj() {
+    let Json::Obj(counters) = counters else {
         return Err("`counters` must be an object".to_string());
+    };
+    for (name, v) in counters {
+        if v.as_u64().is_none() {
+            return Err(format!("counter `{name}` must be an unsigned integer"));
+        }
     }
     let chunks = doc
         .get("chunks")
@@ -359,6 +364,22 @@ mod tests {
     fn validation_rejects_wrong_schema() {
         let doc = crate::json::parse(r#"{"schema":"nope/9"}"#).unwrap();
         assert!(validate_profile(&doc).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_numeric_counters() {
+        for counters in [
+            r#"{"steps":"many"}"#,
+            r#"{"allocs":-3}"#,
+            r#"{"calls":null}"#,
+        ] {
+            let text = format!(
+                r#"{{"schema":"{PROFILE_SCHEMA}","backend":"vm","program":"p.jns","counters":{counters},"chunks":[],"ic_sites":[],"histograms":{{}}}}"#
+            );
+            let doc = crate::json::parse(&text).unwrap();
+            let err = validate_profile(&doc).expect_err(counters);
+            assert!(err.contains("unsigned integer"), "{counters}: {err}");
+        }
     }
 
     #[test]

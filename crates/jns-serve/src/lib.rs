@@ -37,7 +37,7 @@
 pub mod workload;
 
 use jns_core::{Compiled, SharedProgram};
-use jns_eval::Stats;
+use jns_eval::{RunConfig, Stats};
 use jns_obs::{Histogram, TimedEvent, TraceBuffer, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -79,8 +79,7 @@ pub struct ServeConfig {
     /// Optional nursery capacity for generational collection on the
     /// worker VMs (effective only alongside [`ServeConfig::heap_limit`]):
     /// a full nursery triggers a cheap minor collection instead of a
-    /// full mark-compact. Defaults from [`jns_core::env_nursery`]
-    /// (`JNS_NURSERY`), like the compiler's own default.
+    /// full mark-compact.
     pub nursery: Option<usize>,
     /// When set, every worker VM carries a bounded
     /// [`jns_obs::TraceBuffer`] (request start/end, GC runs, inline-cache
@@ -110,7 +109,7 @@ impl Default for ServeConfig {
             fuel: None,
             max_depth: None,
             heap_limit: None,
-            nursery: jns_core::env_nursery(),
+            nursery: None,
             trace: false,
             trace_cap: jns_obs::DEFAULT_TRACE_CAP,
             sample_stride: None,
@@ -124,6 +123,16 @@ impl ServeConfig {
         ServeConfig {
             workers,
             ..Default::default()
+        }
+    }
+
+    /// The per-request run limits every worker VM is spawned with.
+    pub fn run_config(&self) -> RunConfig {
+        RunConfig {
+            fuel: self.fuel,
+            max_depth: self.max_depth,
+            heap_limit: self.heap_limit,
+            nursery: self.nursery,
         }
     }
 }
@@ -336,15 +345,12 @@ impl Pool {
                 .map(|_| None)
                 .collect::<Vec<Option<WorkerTelemetry>>>(),
         ));
+        let run = cfg.run_config();
         let mut workers = Vec::with_capacity(n);
         for w in 0..n {
             let queue = Arc::clone(&queue);
             let tx = tx.clone();
             let handle = shared.clone();
-            let fuel = cfg.fuel;
-            let max_depth = cfg.max_depth;
-            let heap_limit = cfg.heap_limit;
-            let nursery = cfg.nursery;
             let trace = cfg.trace;
             let trace_cap = cfg.trace_cap;
             let sample_stride = cfg.sample_stride;
@@ -352,25 +358,9 @@ impl Pool {
             let t = std::thread::Builder::new()
                 .name(format!("jns-serve-{w}"))
                 .spawn(move || {
-                    let mut vm = handle.spawn_vm();
-                    if let Some(f) = fuel {
-                        // Stats (and with them the step counter the fuel
-                        // check reads) reset per request, so one limit
-                        // set at spawn time applies to every request.
-                        vm = vm.with_fuel(f);
-                    }
-                    if let Some(d) = max_depth {
-                        // The depth counter likewise resets per request.
-                        vm = vm.with_max_depth(d);
-                    }
-                    if let Some(l) = heap_limit {
-                        // The threshold survives per-request resets.
-                        vm = vm.with_heap_limit(l);
-                    }
-                    if let Some(n) = nursery {
-                        // As does the nursery capacity.
-                        vm = vm.with_nursery(n);
-                    }
+                    // The limits survive per-request resets, so one
+                    // config set at spawn time applies to every request.
+                    let mut vm = handle.spawn_vm().with_config(run);
                     if trace {
                         // The buffer survives per-request resets; one
                         // worker accumulates events for its whole life.
@@ -408,7 +398,7 @@ impl Pool {
                         tele.queue_wait.record(queue_us);
                         tele.exec.record(exec_us);
                         tele.requests += 1;
-                        if let Some(global) = heap_limit {
+                        if let Some(global) = run.heap_limit {
                             // Auto-size this worker's region for the next
                             // request from the traffic it has seen. GC
                             // timing never changes outputs, so this only

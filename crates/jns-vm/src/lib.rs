@@ -47,57 +47,3 @@ pub mod vm;
 pub use bytecode::{Chunk, Instr, VmProgram};
 pub use compile::{compile, compile_with, CompileOptions};
 pub use vm::Vm;
-
-use jns_eval::{RtError, Stats, Value};
-use jns_types::CheckedProgram;
-
-/// The result of running a program on the VM (same shape as the
-/// interpreter's surface: printed lines, final value, statistics).
-#[derive(Debug)]
-pub struct VmOutput {
-    /// Lines produced by `print`.
-    pub output: Vec<String>,
-    /// The final value of `main`.
-    pub value: Value,
-    /// Execution statistics (`steps` counts VM instructions).
-    pub stats: Stats,
-}
-
-/// One-call convenience: compile `prog` to bytecode and run `main`.
-///
-/// # Errors
-///
-/// Propagates the VM's [`RtError`] (for well-typed programs only the
-/// benign variants: cast failure, fuel, depth exhaustion, division by
-/// zero).
-pub fn run(prog: &CheckedProgram, fuel: Option<u64>) -> Result<VmOutput, RtError> {
-    run_limited(prog, fuel, None)
-}
-
-/// Like [`run`], with an optional recursion-depth limit override (the
-/// default is [`jns_eval::DEFAULT_MAX_DEPTH`], shared with the
-/// tree-walking interpreter).
-///
-/// # Errors
-///
-/// Same contract as [`run`].
-pub fn run_limited(
-    prog: &CheckedProgram,
-    fuel: Option<u64>,
-    max_depth: Option<u32>,
-) -> Result<VmOutput, RtError> {
-    let code = compile(prog);
-    let mut vm = Vm::new(prog, &code);
-    if let Some(f) = fuel {
-        vm = vm.with_fuel(f);
-    }
-    if let Some(d) = max_depth {
-        vm = vm.with_max_depth(d);
-    }
-    let value = vm.run()?;
-    Ok(VmOutput {
-        output: std::mem::take(&mut vm.output),
-        value,
-        stats: vm.stats,
-    })
-}

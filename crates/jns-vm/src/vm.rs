@@ -34,7 +34,7 @@
 
 use crate::bytecode::{Instr, TrapKind, VmProgram};
 use jns_eval::value::MaskSet;
-use jns_eval::{Heap, Loc, RefVal, RtError, Stats, Value, DEFAULT_MAX_DEPTH};
+use jns_eval::{Heap, Loc, RefVal, RtError, RunConfig, Stats, Value, DEFAULT_MAX_DEPTH};
 use jns_syntax::{BinOp, UnOp};
 use jns_types::{CheckedProgram, ClassId, Judge, Name, Ty, TypeEnv};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -226,7 +226,7 @@ impl<'p> Vm<'p> {
             code,
             heap: Heap::new(),
             output: Vec::new(),
-            stats: Stats::default(),
+            stats: Self::fresh_stats(code),
             fuel: None,
             depth: 0,
             max_depth: DEFAULT_MAX_DEPTH,
@@ -294,12 +294,6 @@ impl<'p> Vm<'p> {
         });
     }
 
-    /// Builder form of [`Vm::set_sample_stride`].
-    pub fn with_sample_stride(mut self, stride: u64) -> Self {
-        self.set_sample_stride(stride);
-        self
-    }
-
     /// The configured sampling stride, if the profiler is enabled.
     pub fn sample_stride(&self) -> Option<u64> {
         self.sampler.as_ref().map(|s| s.stride)
@@ -334,12 +328,6 @@ impl<'p> Vm<'p> {
         merged.into_iter().collect()
     }
 
-    /// Limits execution to `fuel` instructions.
-    pub fn with_fuel(mut self, fuel: u64) -> Self {
-        self.fuel = Some(fuel);
-        self
-    }
-
     /// Sets the recursion-depth limit (method activations plus nested
     /// field-initialiser chunks) — the same units, default, and
     /// [`RtError::DepthExceeded`] error as the tree-walking interpreter,
@@ -349,15 +337,17 @@ impl<'p> Vm<'p> {
         self
     }
 
-    /// Sets the live-heap threshold: once this many objects are live, the
-    /// next allocation first runs a mark-compact collection over roots
-    /// enumerated from the VM's frame stack (locals and operands) and
-    /// in-flight allocations. With no limit the collector never runs and
-    /// behaviour is byte-identical to an unlimited heap. The limit
-    /// survives [`Vm::reset_for_request`], so one knob set at worker
-    /// spawn time applies to every request.
-    pub fn with_heap_limit(mut self, limit: usize) -> Self {
-        self.heap.set_limit(Some(limit));
+    /// Applies the run limits in `cfg` (fuel counts VM instructions). The
+    /// collector's roots are the VM's frame stack (locals and operands)
+    /// and in-flight allocations. Every limit survives
+    /// [`Vm::reset_for_request`], and the fuel and depth counters reset
+    /// with the per-request statistics, so a config applied at worker
+    /// spawn time holds for every request.
+    pub fn with_config(mut self, cfg: RunConfig) -> Self {
+        self.fuel = cfg.fuel;
+        self.max_depth = cfg.max_depth.unwrap_or(DEFAULT_MAX_DEPTH);
+        self.heap.set_limit(cfg.heap_limit);
+        self.heap.set_nursery(cfg.nursery);
         self
     }
 
@@ -371,15 +361,6 @@ impl<'p> Vm<'p> {
     /// The currently configured live-heap threshold.
     pub fn heap_limit(&self) -> Option<usize> {
         self.heap.limit()
-    }
-
-    /// Sets the nursery capacity for generational collection (effective
-    /// only alongside a heap limit); see
-    /// [`jns_eval::heap::Heap::set_nursery`]. Survives
-    /// [`Vm::reset_for_request`] like the heap limit does.
-    pub fn with_nursery(mut self, nursery: usize) -> Self {
-        self.heap.set_nursery(Some(nursery));
-        self
     }
 
     /// Does nothing: the VM has no quickening stage, and every get/set/
@@ -403,7 +384,7 @@ impl<'p> Vm<'p> {
     pub fn reset_for_request(&mut self) -> usize {
         let reclaimed = self.heap.reset();
         self.output.clear();
-        self.stats = Stats::default();
+        self.stats = Self::fresh_stats(self.code);
         self.depth = 0;
         self.new_stack.clear();
         self.frames.clear();
@@ -411,19 +392,14 @@ impl<'p> Vm<'p> {
         reclaimed
     }
 
-    /// Copies the heap's collector counters into [`Vm::stats`] (called at
-    /// the end of every public execution entry point).
-    fn sync_gc_stats(&mut self) {
-        let g = self.heap.gc_stats();
-        self.stats.gc_runs = g.runs;
-        self.stats.reclaimed = g.reclaimed;
-        self.stats.peak_live = g.peak_live;
-        self.stats.minor_runs = g.minor_runs;
-        self.stats.major_runs = g.major_runs;
-        self.stats.promoted = g.promoted;
-        self.stats.barrier_hits = g.barrier_hits;
-        self.stats.folded = self.code.folded;
-        self.stats.fused = self.code.fused;
+    /// Statistics at the start of a request: zero, except the fold and
+    /// fusion counts, which are properties of the compiled program.
+    fn fresh_stats(code: &VmProgram) -> Stats {
+        Stats {
+            folded: code.folded,
+            fused: code.fused,
+            ..Stats::default()
+        }
     }
 
     /// Runs a collection if the heap has reached its threshold. Roots:
@@ -582,7 +558,7 @@ impl<'p> Vm<'p> {
         };
         let locals = vec![Value::Unit; self.code.chunks[main].n_locals as usize];
         let r = self.run_chunk(main, locals);
-        self.sync_gc_stats();
+        self.stats.sync_gc(&self.heap.gc_stats());
         r
     }
 
@@ -1200,7 +1176,7 @@ impl<'p> Vm<'p> {
         let mut masks = match guts {
             Ok(m) => m,
             Err(e) => {
-                self.sync_gc_stats();
+                self.stats.sync_gc(&self.heap.gc_stats());
                 return Err(e);
             }
         };
@@ -1215,7 +1191,7 @@ impl<'p> Vm<'p> {
         // Fully initialised objects end with the empty mask set, which the
         // pool shares across every allocation.
         let masks = self.intern_masks(masks);
-        self.sync_gc_stats();
+        self.stats.sync_gc(&self.heap.gc_stats());
         Ok(Value::Ref(RefVal {
             loc,
             view: class,
@@ -1335,7 +1311,7 @@ impl<'p> Vm<'p> {
         self.depth += 1;
         let out = self.run_chunk(chunk, locals);
         self.depth -= 1;
-        self.sync_gc_stats();
+        self.stats.sync_gc(&self.heap.gc_stats());
         out
     }
 

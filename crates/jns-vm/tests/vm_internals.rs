@@ -1,7 +1,7 @@
 //! VM-specific behaviour: the direct machine API, cache warm-up, layout
 //! sharing across views, fuel, and call-depth limits.
 
-use jns_eval::{RtError, Value};
+use jns_eval::{RtError, RunConfig, Stats, Value};
 use jns_vm::{compile, Vm};
 
 fn checked(src: &str) -> jns_types::CheckedProgram {
@@ -15,6 +15,14 @@ fn checked(src: &str) -> jns_types::CheckedProgram {
                 .join("\n")
         )
     })
+}
+
+/// Lowers `p` and runs `main` on a fresh VM under `cfg`.
+fn run_vm(p: &jns_types::CheckedProgram, cfg: RunConfig) -> Result<(Vec<String>, Stats), RtError> {
+    let code = compile(p);
+    let mut vm = Vm::new(p, &code).with_config(cfg);
+    vm.run()?;
+    Ok((vm.output, vm.stats))
 }
 
 fn sharing_program() -> jns_types::CheckedProgram {
@@ -97,10 +105,10 @@ fn polymorphic_call_sites() {
            print r1 + r2 + r3;
          }",
     );
-    let out = jns_vm::run(&p, None).unwrap();
-    assert_eq!(out.output, vec!["9"]);
-    assert_eq!(out.stats.calls, 6);
-    assert_eq!(out.stats.views_explicit, 1);
+    let (output, stats) = run_vm(&p, RunConfig::default()).unwrap();
+    assert_eq!(output, vec!["9"]);
+    assert_eq!(stats.calls, 6);
+    assert_eq!(stats.views_explicit, 1);
 }
 
 /// Shared fields occupy one slot in the union layout: a write through one
@@ -119,15 +127,19 @@ fn union_layout_shares_slots_across_views() {
            print a.x;
          }",
     );
-    let out = jns_vm::run(&p, None).unwrap();
-    assert_eq!(out.output, vec!["42", "7"]);
+    let (output, _) = run_vm(&p, RunConfig::default()).unwrap();
+    assert_eq!(output, vec!["42", "7"]);
 }
 
 /// Fuel interrupts runaway programs (measured in VM instructions).
 #[test]
 fn fuel_is_enforced() {
     let p = checked("main { while (true) { print 1; } }");
-    let err = jns_vm::run(&p, Some(1000)).unwrap_err();
+    let fuel = RunConfig {
+        fuel: Some(1000),
+        ..RunConfig::default()
+    };
+    let err = run_vm(&p, fuel).unwrap_err();
     assert_eq!(err, RtError::OutOfFuel);
     assert!(err.is_benign());
 }
@@ -143,12 +155,16 @@ fn deep_recursion_overflows_benignly() {
         "class A { class C { int go() { return this.go(); } } }
          main { final A.C c = new A.C(); print c.go(); }",
     );
-    let err = jns_vm::run(&p, None).unwrap_err();
+    let err = run_vm(&p, RunConfig::default()).unwrap_err();
     assert_eq!(err, RtError::DepthExceeded(jns_eval::DEFAULT_MAX_DEPTH));
     assert!(err.is_benign());
     // A tighter limit cuts off sooner; a looser one lets deeper runs
     // finish (bounded by heap, not the host stack).
-    let err = jns_vm::run_limited(&p, None, Some(10)).unwrap_err();
+    let tight = RunConfig {
+        max_depth: Some(10),
+        ..RunConfig::default()
+    };
+    let err = run_vm(&p, tight).unwrap_err();
     assert_eq!(err, RtError::DepthExceeded(10));
 }
 

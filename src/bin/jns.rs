@@ -3,8 +3,9 @@
 //!
 //! Usage:
 //!   jns run [--vm] [--stats] [--no-fuse] [--max-depth N]
-//!           [--heap-limit N] [--trace PATH] [--profile-json PATH]
-//!           <file.jns>
+//!           [--heap-limit N] [--nursery N] [--trace PATH]
+//!           [--profile-json PATH] [--profile-folded PATH]
+//!           [--sample-stride N] <file.jns>
 //!       parse, type-check, and run a program (tree-walking interpreter
 //!       by default; `--vm` selects the bytecode VM; `--stats` prints
 //!       execution statistics, inline-cache hit rates, the dispatch
@@ -20,23 +21,25 @@
 //!       limit set): new objects bump-allocate into a nursery of N
 //!       objects, a full nursery runs a cheap minor collection that
 //!       promotes survivors, and the full mark-compact becomes the
-//!       major collection (defaults from `JNS_NURSERY` when unset);
+//!       major collection;
 //!       `--trace` writes structured runtime events — compile phases,
 //!       GC runs, inline-cache misses — as JSON Lines;
 //!       `--profile-json` (VM only) writes the machine-readable
 //!       `jns-profile/1` document: counters, per-chunk instruction
-//!       counts, and per-site inline-cache hit/miss attribution)
+//!       counts, and per-site inline-cache hit/miss attribution;
+//!       `--profile-folded` (VM only) writes the sampling profiler's
+//!       collapsed stacks, one sample every `--sample-stride`
+//!       instructions (default 101))
 //!   jns check <file.jns>
 //!       type-check only
-//!   jns serve [--workers N] [--requests N] [--queue N] [--max-depth N]
-//!             [--heap-limit N] [--stats] [--trace PATH]
-//!             [--profile-json PATH] <file.jns>
+//!   jns serve [--workers N] [--requests N] [--queue N] [RUN FLAGS] <file.jns>
 //!       compile once, then replay the program's entrypoint N times
-//!       across a pool of worker VMs (heap reset per request; with
-//!       `--heap-limit`, tracing GC *within* each request too, each
-//!       worker auto-sizing its effective limit from the peak live
-//!       heap it observes, and `--nursery` making the collector
-//!       generational) and report throughput; `--stats` adds latency
+//!       across a pool of worker VMs and report throughput. RUN FLAGS
+//!       are every `jns run` flag but `--vm`, parsed by the same code
+//!       into the same `jns_core::RunConfig`: the heap resets per
+//!       request, and with `--heap-limit` each worker also collects
+//!       *within* a request and auto-sizes its effective limit from the
+//!       peak live heap it observes; `--stats` adds latency
 //!       percentiles, per-worker effective heap limits, and
 //!       queue back-pressure gauges, `--trace` merges every worker's
 //!       event buffer into one JSONL stream, `--profile-json` exports
@@ -60,10 +63,10 @@
 //!       a warning when events were dropped
 //!   jns --help
 
-use jns_core::{Backend, Compiler, RunOptions, RunOutput, Stats};
+use jns_core::{Backend, Compiler, RunConfig, RunOptions, RunOutput};
 use jns_obs::{
-    BenchDoc, BenchEntry, Histogram, Json, RunProfile, SampleConfig, Tolerance, TraceBuffer,
-    TraceEvent,
+    BenchDoc, BenchEntry, Histogram, Json, RunProfile, SampleConfig, TimedEvent, Tolerance,
+    TraceBuffer, TraceEvent,
 };
 use jns_serve::{serve_batch, ServeConfig};
 use std::process::ExitCode;
@@ -99,48 +102,16 @@ fn take_opt(args: &mut Vec<String>, flag: &str, default: u64) -> Result<u64, Str
         .map_err(|_| format!("{flag}: bad number `{v}`"))
 }
 
-/// Pulls `--flag N` out of `args`; returns `None` when absent.
-fn take_opt_maybe(args: &mut Vec<String>, flag: &str) -> Result<Option<u64>, String> {
+/// Pulls `--flag N` out of `args`; `None` when absent. Reports a
+/// malformed value itself.
+fn take_num(args: &mut Vec<String>, flag: &str) -> Result<Option<u64>, ExitCode> {
     if !args.iter().any(|a| a == flag) {
         return Ok(None);
     }
-    take_opt(args, flag, 0).map(Some)
-}
-
-/// Pulls `--max-depth N` out of `args` (clamped to `u32`), reporting
-/// parse errors itself so callers can `?`-style early-return.
-fn take_max_depth(args: &mut Vec<String>) -> Result<Option<u32>, ExitCode> {
-    match take_opt_maybe(args, "--max-depth") {
-        Ok(d) => Ok(d.map(|n| n.min(u64::from(u32::MAX)) as u32)),
-        Err(m) => {
-            eprintln!("error: {m}");
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
-/// Pulls `--heap-limit N` (live objects before a tracing collection).
-fn take_heap_limit(args: &mut Vec<String>) -> Result<Option<usize>, ExitCode> {
-    match take_opt_maybe(args, "--heap-limit") {
-        Ok(l) => Ok(l.map(|n| n.max(1) as usize)),
-        Err(m) => {
-            eprintln!("error: {m}");
-            Err(ExitCode::FAILURE)
-        }
-    }
-}
-
-/// Pulls `--nursery N` (nursery capacity for generational collection;
-/// effective only alongside `--heap-limit`). Falls back to the
-/// `JNS_NURSERY` environment variable when the flag is absent.
-fn take_nursery(args: &mut Vec<String>) -> Result<Option<usize>, ExitCode> {
-    match take_opt_maybe(args, "--nursery") {
-        Ok(n) => Ok(n.map(|n| n.max(1) as usize).or_else(jns_core::env_nursery)),
-        Err(m) => {
-            eprintln!("error: {m}");
-            Err(ExitCode::FAILURE)
-        }
-    }
+    take_opt(args, flag, 0).map(Some).map_err(|m| {
+        eprintln!("error: {m}");
+        ExitCode::FAILURE
+    })
 }
 
 fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
@@ -171,39 +142,83 @@ fn write_text(path: &str, contents: &str) -> Result<(), ExitCode> {
     })
 }
 
-/// The flat runtime counters in their stable profile-schema order. The
-/// dispatch-engine counter (`fused`) is emitted only when nonzero, so
-/// documents from `--no-fuse` runs (and old readers) keep their exact
-/// shape.
-fn stat_counters(s: &Stats) -> Vec<(&'static str, u64)> {
-    let mut counters = vec![
-        ("steps", s.steps),
-        ("allocs", s.allocs),
-        ("calls", s.calls),
-        ("views_explicit", s.views_explicit),
-        ("views_implicit", s.views_implicit),
-        ("mask_allocs", s.mask_allocs),
-        ("folded", s.folded),
-        ("ic_hits", s.ic_hits),
-        ("ic_misses", s.ic_misses),
-        ("gc_runs", s.gc_runs),
-        ("reclaimed", s.reclaimed),
-        ("peak_live", s.peak_live),
-    ];
-    // The generational-GC counters appear only when the nursery actually
-    // engaged (a minor collection ran or the barrier fired), so
-    // stop-the-world and GC-off runs keep their exact pre-generational
-    // document shape — the same rule the engine counters follow.
-    if s.minor_runs > 0 || s.barrier_hits > 0 {
-        counters.push(("minor_runs", s.minor_runs));
-        counters.push(("major_runs", s.major_runs));
-        counters.push(("promoted", s.promoted));
-        counters.push(("barrier_hits", s.barrier_hits));
+/// The flags `run` and `serve` share.
+struct RunFlags {
+    stats: bool,
+    fuse: bool,
+    run: RunConfig,
+    trace: Option<String>,
+    profile_json: Option<String>,
+    profile_folded: Option<String>,
+    /// `--sample-stride` as given; [`RunFlags::sampler`] decides whether
+    /// the sampler is armed.
+    sample_stride: Option<u64>,
+}
+
+impl RunFlags {
+    /// Pulls the shared flags out of `args` (fields are parsed in the
+    /// order written), reporting a malformed one itself.
+    fn take(args: &mut Vec<String>) -> Result<RunFlags, ExitCode> {
+        Ok(RunFlags {
+            stats: take_flag(args, "--stats"),
+            fuse: !take_flag(args, "--no-fuse"),
+            run: RunConfig {
+                fuel: None,
+                max_depth: take_num(args, "--max-depth")?
+                    .map(|n| n.min(u64::from(u32::MAX)) as u32),
+                heap_limit: take_num(args, "--heap-limit")?.map(|n| n.max(1) as usize),
+                nursery: take_num(args, "--nursery")?.map(|n| n.max(1) as usize),
+            },
+            trace: take_path(args, "--trace")?,
+            profile_json: take_path(args, "--profile-json")?,
+            profile_folded: take_path(args, "--profile-folded")?,
+            sample_stride: take_num(args, "--sample-stride")?.map(|n| n.max(1)),
+        })
     }
-    if s.fused > 0 {
-        counters.push(("fused", s.fused));
+
+    /// The stride to arm the VM's sampler with: only when an output will
+    /// carry the samples — `--profile-folded`, or `--profile-json` with
+    /// an explicit `--sample-stride`.
+    fn sampler(&self) -> Option<u64> {
+        (self.profile_folded.is_some()
+            || (self.profile_json.is_some() && self.sample_stride.is_some()))
+        .then(|| self.sample_stride.unwrap_or(DEFAULT_SAMPLE_STRIDE))
     }
-    counters
+}
+
+/// Writes the `--trace`, `--profile-folded` and `--profile-json`
+/// artifacts of a run or a served batch; `who` names what executed, for
+/// the no-samples warning.
+fn write_artifacts(
+    flags: &RunFlags,
+    events: &[TimedEvent],
+    dropped: u64,
+    profile: RunProfile,
+    who: &str,
+) -> Result<(), ExitCode> {
+    if let Some(p) = &flags.trace {
+        write_text(p, &jns_obs::jsonl(events, dropped))?;
+    }
+    if let Some(p) = &flags.profile_folded {
+        let stacks = profile
+            .samples
+            .as_ref()
+            .map(|s| &s.stacks[..])
+            .unwrap_or(&[]);
+        if stacks.is_empty() {
+            eprintln!(
+                "warning: no samples taken — {who} executed fewer \
+                 instructions than the sampling stride ({}); lower \
+                 --sample-stride",
+                flags.sample_stride.unwrap_or(DEFAULT_SAMPLE_STRIDE)
+            );
+        }
+        write_text(p, &jns_obs::folded_lines(stacks))?;
+    }
+    if let Some(p) = &flags.profile_json {
+        write_text(p, &(profile.to_json() + "\n"))?;
+    }
+    Ok(())
 }
 
 fn print_stats(out: &RunOutput, total_chunks: usize) {
@@ -290,10 +305,7 @@ fn print_stats(out: &RunOutput, total_chunks: usize) {
 fn compile_file(
     path: &str,
     backend: Backend,
-    max_depth: Option<u32>,
-    heap_limit: Option<usize>,
-    nursery: Option<usize>,
-    fuse: bool,
+    flags: &RunFlags,
 ) -> Result<jns_core::Compiled, ExitCode> {
     let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
@@ -302,16 +314,10 @@ fn compile_file(
             return Err(ExitCode::FAILURE);
         }
     };
-    let mut compiler = Compiler::new().with_backend(backend).with_fusion(fuse);
-    if let Some(d) = max_depth {
-        compiler = compiler.with_max_depth(d);
-    }
-    if let Some(l) = heap_limit {
-        compiler = compiler.with_heap_limit(l);
-    }
-    if let Some(n) = nursery {
-        compiler = compiler.with_nursery(n);
-    }
+    let compiler = Compiler::new()
+        .with_backend(backend)
+        .with_fusion(flags.fuse)
+        .with_config(flags.run);
     match compiler.compile(&src) {
         Ok(c) => Ok(c),
         Err(e) => {
@@ -330,58 +336,25 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
     } else {
         Backend::TreeWalk
     };
-    let stats = take_flag(&mut args, "--stats");
-    let fuse = !take_flag(&mut args, "--no-fuse");
-    let max_depth = match take_max_depth(&mut args) {
-        Ok(d) => d,
+    let flags = match RunFlags::take(&mut args) {
+        Ok(f) => f,
         Err(code) => return code,
     };
-    let heap_limit = match take_heap_limit(&mut args) {
-        Ok(l) => l,
-        Err(code) => return code,
-    };
-    let nursery = match take_nursery(&mut args) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-    let trace_path = match take_path(&mut args, "--trace") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let profile_path = match take_path(&mut args, "--profile-json") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let folded_path = match take_path(&mut args, "--profile-folded") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let sample_stride = match take_opt_maybe(&mut args, "--sample-stride") {
-        Ok(s) => s.map(|n| n.max(1)),
-        Err(m) => {
-            eprintln!("error: {m}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if profile_path.is_some() && backend != Backend::Vm {
+    if flags.profile_json.is_some() && backend != Backend::Vm {
         eprintln!(
             "error: --profile-json needs --vm (chunk and inline-cache profiles are VM state)"
         );
         return ExitCode::FAILURE;
     }
-    if (folded_path.is_some() || sample_stride.is_some()) && backend != Backend::Vm {
+    if (flags.profile_folded.is_some() || flags.sample_stride.is_some()) && backend != Backend::Vm {
         eprintln!("error: --profile-folded / --sample-stride need --vm (the sampler lives in the VM dispatch loop)");
         return ExitCode::FAILURE;
     }
-    // Sampling is only armed when the folded output was requested (or a
-    // profile document that will carry the samples section).
-    let stride = (folded_path.is_some() || (profile_path.is_some() && sample_stride.is_some()))
-        .then(|| sample_stride.unwrap_or(DEFAULT_SAMPLE_STRIDE));
     let (check_only, path) = match args.as_slice() {
         [cmd, path] if cmd == "run" || cmd == "check" => (cmd == "check", path.clone()),
         _ => return usage(),
     };
-    let compiled = match compile_file(&path, backend, max_depth, heap_limit, nursery, fuse) {
+    let compiled = match compile_file(&path, backend, &flags) {
         Ok(c) => c,
         Err(code) => return code,
     };
@@ -391,7 +364,7 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
     }
     // With --trace, seed the buffer with the front-end phase events
     // before the run appends GC and inline-cache-miss events.
-    let trace_buf = trace_path.as_ref().map(|_| {
+    let trace_buf = flags.trace.as_ref().map(|_| {
         let mut buf = TraceBuffer::new(jns_obs::DEFAULT_TRACE_CAP);
         let t = compiled.timings();
         buf.push(TraceEvent::Phase {
@@ -412,54 +385,37 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
     });
     let opts = RunOptions {
         trace: trace_buf,
-        sample_stride: stride,
+        sample_stride: flags.sampler(),
     };
     match compiled.run_with(backend, opts) {
         Ok(out) => {
             for line in &out.output {
                 println!("{line}");
             }
-            if stats {
+            if flags.stats {
                 let total_chunks = match backend {
                     Backend::Vm => compiled.bytecode().chunks.len(),
                     Backend::TreeWalk => 0,
                 };
                 print_stats(&out, total_chunks);
             }
-            if let (Some(p), Some(buf)) = (&trace_path, &out.trace) {
-                if write_text(p, &jns_obs::jsonl(buf.events(), buf.dropped())).is_err() {
-                    return ExitCode::FAILURE;
-                }
+            let (events, dropped) = out
+                .trace
+                .as_ref()
+                .map_or((&[][..], 0), |b| (b.events(), b.dropped()));
+            let profile = RunProfile {
+                backend: "vm".into(),
+                program: path,
+                counters: out.stats.counters(),
+                chunks: out.chunk_profile,
+                ic_sites: out.ic_profile,
+                histograms: Vec::new(),
+                samples: out.samples,
+            };
+            match write_artifacts(&flags, events, dropped, profile, "the program") {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(code) => code,
             }
-            if let Some(p) = &folded_path {
-                let stacks = out.samples.as_ref().map(|s| &s.stacks[..]).unwrap_or(&[]);
-                if stacks.is_empty() {
-                    eprintln!(
-                        "warning: no samples taken — the program executed fewer \
-                         instructions than the sampling stride ({}); lower \
-                         --sample-stride",
-                        stride.unwrap_or(DEFAULT_SAMPLE_STRIDE)
-                    );
-                }
-                if write_text(p, &jns_obs::folded_lines(stacks)).is_err() {
-                    return ExitCode::FAILURE;
-                }
-            }
-            if let Some(p) = &profile_path {
-                let profile = RunProfile {
-                    backend: "vm".into(),
-                    program: path.clone(),
-                    counters: stat_counters(&out.stats),
-                    chunks: out.chunk_profile.clone(),
-                    ic_sites: out.ic_profile.clone(),
-                    histograms: Vec::new(),
-                    samples: out.samples.clone(),
-                };
-                if write_text(p, &(profile.to_json() + "\n")).is_err() {
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("runtime error: {e}");
@@ -560,98 +516,58 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let stats = take_flag(&mut args, "--stats");
-    let fuse = !take_flag(&mut args, "--no-fuse");
-    let max_depth = match take_max_depth(&mut args) {
-        Ok(d) => d,
+    let flags = match RunFlags::take(&mut args) {
+        Ok(f) => f,
         Err(code) => return code,
     };
-    let heap_limit = match take_heap_limit(&mut args) {
-        Ok(l) => l,
-        Err(code) => return code,
-    };
-    let nursery = match take_nursery(&mut args) {
-        Ok(n) => n,
-        Err(code) => return code,
-    };
-    let trace_path = match take_path(&mut args, "--trace") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let profile_path = match take_path(&mut args, "--profile-json") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let folded_path = match take_path(&mut args, "--profile-folded") {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let sample_stride = match take_opt_maybe(&mut args, "--sample-stride") {
-        Ok(s) => s.map(|n| n.max(1)),
-        Err(m) => {
-            eprintln!("error: {m}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let stride = (folded_path.is_some() || sample_stride.is_some())
-        .then(|| sample_stride.unwrap_or(DEFAULT_SAMPLE_STRIDE));
     let [_, path] = args.as_slice() else {
         return usage();
     };
-    let compiled = match compile_file(path, Backend::Vm, max_depth, heap_limit, nursery, fuse) {
+    let compiled = match compile_file(path, Backend::Vm, &flags) {
         Ok(c) => c,
         Err(code) => return code,
     };
-    let cfg = ServeConfig {
-        workers: workers.max(1) as usize,
-        queue_cap: queue.max(1) as usize,
-        fuel: None,
+    // Destructured in full, so a new `RunConfig` field cannot be dropped
+    // silently on its way to the pool.
+    let RunConfig {
+        fuel,
         max_depth,
         heap_limit,
         nursery,
-        trace: trace_path.is_some(),
+    } = flags.run;
+    let cfg = ServeConfig {
+        workers: workers.max(1) as usize,
+        queue_cap: queue.max(1) as usize,
+        fuel,
+        max_depth,
+        heap_limit,
+        nursery,
+        trace: flags.trace.is_some(),
         trace_cap: jns_obs::DEFAULT_TRACE_CAP,
-        sample_stride: stride,
+        sample_stride: flags.sampler(),
     };
     let report = serve_batch(&compiled, &cfg, requests);
-    if let Some(p) = &folded_path {
-        let t = &report.telemetry;
-        let stacks = t.samples.as_ref().map(|s| &s.stacks[..]).unwrap_or(&[]);
-        if stacks.is_empty() {
-            eprintln!(
-                "warning: no samples taken — requests executed fewer \
-                 instructions than the sampling stride ({}); lower \
-                 --sample-stride",
-                stride.unwrap_or(DEFAULT_SAMPLE_STRIDE)
-            );
-        }
-        if write_text(p, &jns_obs::folded_lines(stacks)).is_err() {
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(p) = &trace_path {
-        let t = &report.telemetry;
-        if write_text(p, &jns_obs::jsonl(&t.trace_events, t.trace_dropped)).is_err() {
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(p) = &profile_path {
-        let t = &report.telemetry;
-        let profile = RunProfile {
-            backend: "serve".into(),
-            program: path.clone(),
-            counters: stat_counters(&report.aggregate),
-            chunks: Vec::new(),
-            ic_sites: Vec::new(),
-            histograms: vec![
-                ("queue_wait_us", t.queue_wait.clone()),
-                ("exec_us", t.exec.clone()),
-            ],
-            samples: t.samples.clone(),
-        };
-        if write_text(p, &(profile.to_json() + "\n")).is_err() {
-            return ExitCode::FAILURE;
-        }
+    let t = &report.telemetry;
+    let profile = RunProfile {
+        backend: "serve".into(),
+        program: path.clone(),
+        counters: report.aggregate.counters(),
+        chunks: Vec::new(),
+        ic_sites: Vec::new(),
+        histograms: vec![
+            ("queue_wait_us", t.queue_wait.clone()),
+            ("exec_us", t.exec.clone()),
+        ],
+        samples: t.samples.clone(),
+    };
+    if let Err(code) = write_artifacts(
+        &flags,
+        &t.trace_events,
+        t.trace_dropped,
+        profile,
+        "requests",
+    ) {
+        return code;
     }
     // Print one representative output (all requests replay the same
     // entrypoint; the determinism suite asserts they agree).
@@ -663,7 +579,7 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
             eprintln!("runtime error: {err}");
         }
     }
-    report_serve(&report, stats);
+    report_serve(&report, flags.stats);
     if report.responses.iter().all(|r| r.is_ok()) {
         ExitCode::SUCCESS
     } else {

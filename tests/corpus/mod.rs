@@ -1,7 +1,55 @@
 //! The shared runnable paper-program corpus: every paper-example and
 //! paper-figure program exercised by the differential suites. One copy,
 //! used by `tests/vm_differential.rs` (backend equivalence) and
-//! `tests/gc.rs` (GC-on/GC-off equivalence on both backends).
+//! `tests/gc.rs` (GC-on/GC-off equivalence on both backends), plus the
+//! one run helper the GC suites compare configurations with.
+
+// Every suite includes this module; not every suite uses every item.
+#![allow(dead_code)]
+
+use jns_core::{Backend, Compiler, Error, RtError, RunConfig, Stats};
+
+/// The observable result of one run: printed output plus the semantic
+/// statistics — everything that must not depend on whether, when, or
+/// *how* (minor/major) the collector ran.
+#[derive(Debug, PartialEq)]
+pub enum Outcome {
+    Ok {
+        output: Vec<String>,
+        semantic: (u64, u64, u64, u64, u64),
+    },
+    Runtime(RtError),
+}
+
+/// Compiles `src` and runs it on `backend` under `cfg`. A runtime error
+/// comes back with default statistics.
+pub fn run_cfg(src: &str, backend: Backend, cfg: RunConfig) -> (Outcome, Stats) {
+    let compiled = Compiler::new()
+        .with_backend(backend)
+        .with_config(cfg)
+        .compile(src)
+        .unwrap_or_else(|e| panic!("does not compile: {e}"));
+    match compiled.run() {
+        Ok(out) => (
+            Outcome::Ok {
+                output: out.output,
+                semantic: out.stats.semantic(),
+            },
+            out.stats,
+        ),
+        Err(Error::Runtime(e)) => (Outcome::Runtime(e), Stats::default()),
+        Err(e) => panic!("non-runtime failure: {e}"),
+    }
+}
+
+/// A GC mode: a heap limit and a nursery, every other limit default.
+pub fn gc(heap_limit: Option<usize>, nursery: Option<usize>) -> RunConfig {
+    RunConfig {
+        heap_limit,
+        nursery,
+        ..RunConfig::default()
+    }
+}
 
 /// Every runnable program from `crates/jns-eval/tests/paper_examples.rs`.
 pub const PAPER_EXAMPLES: &[(&str, &str)] = &[

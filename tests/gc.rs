@@ -16,43 +16,26 @@
 //!    with no limit, behaviour is byte-identical to the pre-GC heaps;
 //!    with a tight limit, outputs and semantic statistics still match
 //!    the unlimited run on every paper program and both case studies.
+//!
+//! Every guarantee is checked stop-the-world and with a small nursery
+//! (generational collection), each arm set through one `RunConfig`.
 
-use jns_core::{lambda, service, Backend, Compiler, Error};
-use jns_eval::RtError;
+use jns_core::{lambda, service, Backend, Compiler, RunConfig};
 
 mod corpus;
-use corpus::{PAPER_EXAMPLES, PAPER_FIGURES};
+use corpus::{gc, run_cfg, Outcome, PAPER_EXAMPLES, PAPER_FIGURES};
 
-/// The observable result of one run: printed output plus the semantic
-/// statistics (steps, allocs, calls, views — everything that must not
-/// depend on whether or when the collector ran).
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    Ok {
-        output: Vec<String>,
-        semantic: (u64, u64, u64, u64, u64),
-    },
-    Runtime(RtError),
-}
+/// The nursery arms every test runs: stop-the-world, and generational
+/// with a small nursery.
+const NURSERIES: [Option<usize>; 2] = [None, Some(8)];
 
-fn run_with(src: &str, backend: Backend, heap_limit: Option<usize>) -> (Outcome, jns_core::Stats) {
-    let mut compiler = Compiler::new().with_backend(backend);
-    if let Some(l) = heap_limit {
-        compiler = compiler.with_heap_limit(l);
-    }
-    let compiled = compiler
-        .compile(src)
-        .unwrap_or_else(|e| panic!("does not compile: {e}"));
-    match compiled.run() {
-        Ok(out) => (
-            Outcome::Ok {
-                output: out.output,
-                semantic: out.stats.semantic(),
-            },
-            out.stats,
-        ),
-        Err(Error::Runtime(e)) => (Outcome::Runtime(e), jns_core::Stats::default()),
-        Err(e) => panic!("non-runtime failure: {e}"),
+/// The nursery arms of the two 1M-allocation tests. The tree-walker's
+/// nursery arm is left out to bound debug-build time; its generational
+/// path runs in every other test here.
+fn million_nurseries(backend: Backend) -> &'static [Option<usize>] {
+    match backend {
+        Backend::TreeWalk => &[None],
+        Backend::Vm => &NURSERIES,
     }
 }
 
@@ -86,23 +69,31 @@ const LIMIT: usize = 512;
 fn million_alloc_request_completes_with_bounded_live_heap() {
     let src = churn_program(MILLION);
     for backend in [Backend::TreeWalk, Backend::Vm] {
-        let (out, stats) = run_with(&src, backend, Some(LIMIT));
-        match out {
-            Outcome::Ok { output, .. } => assert_eq!(output, vec![MILLION.to_string()]),
-            other => panic!("{backend:?}: expected success, got {other:?}"),
+        for &nursery in million_nurseries(backend) {
+            let arm = format!("{backend:?} nursery {nursery:?}");
+            let (out, stats) = run_cfg(&src, backend, gc(Some(LIMIT), nursery));
+            match out {
+                Outcome::Ok { output, .. } => assert_eq!(output, vec![MILLION.to_string()]),
+                other => panic!("{arm}: expected success, got {other:?}"),
+            }
+            assert!(stats.gc_runs > 0, "{arm}: collector never ran");
+            assert_eq!(
+                stats.minor_runs > 0,
+                nursery.is_some(),
+                "{arm}: minor collections"
+            );
+            assert!(
+                stats.peak_live <= LIMIT as u64,
+                "{arm}: peak live heap {} exceeds the {LIMIT} limit",
+                stats.peak_live
+            );
+            assert!(
+                stats.reclaimed >= MILLION - LIMIT as u64,
+                "{arm}: only {} of ~{MILLION} dead objects reclaimed",
+                stats.reclaimed
+            );
+            assert_eq!(stats.allocs, MILLION + 1, "{arm}: allocs accounting");
         }
-        assert!(stats.gc_runs > 0, "{backend:?}: collector never ran");
-        assert!(
-            stats.peak_live <= LIMIT as u64,
-            "{backend:?}: peak live heap {} exceeds the {LIMIT} limit",
-            stats.peak_live
-        );
-        assert!(
-            stats.reclaimed >= MILLION - LIMIT as u64,
-            "{backend:?}: only {} of ~{MILLION} dead objects reclaimed",
-            stats.reclaimed
-        );
-        assert_eq!(stats.allocs, MILLION + 1, "{backend:?}: allocs accounting");
     }
 }
 
@@ -112,10 +103,15 @@ fn million_alloc_request_completes_with_bounded_live_heap() {
 fn million_alloc_request_output_identical_to_unlimited_run() {
     let src = churn_program(MILLION);
     for backend in [Backend::TreeWalk, Backend::Vm] {
-        let (limited, _) = run_with(&src, backend, Some(LIMIT));
-        let (unlimited, stats) = run_with(&src, backend, None);
-        assert_eq!(limited, unlimited, "{backend:?}: GC changed behaviour");
+        let (unlimited, stats) = run_cfg(&src, backend, RunConfig::default());
         assert_eq!(stats.gc_runs, 0, "{backend:?}: GC ran without a limit");
+        for &nursery in million_nurseries(backend) {
+            let (limited, _) = run_cfg(&src, backend, gc(Some(LIMIT), nursery));
+            assert_eq!(
+                limited, unlimited,
+                "{backend:?} nursery {nursery:?}: GC changed behaviour"
+            );
+        }
     }
 }
 
@@ -152,15 +148,19 @@ fn identity_and_views_survive_compaction() {
          }"#;
     let expected = vec!["141", "true", "true", "100"];
     for backend in [Backend::TreeWalk, Backend::Vm] {
-        // A limit of 8 forces collections while b1/b2/alias are live and
-        // must be forwarded together through dozens of compactions.
-        let (out, stats) = run_with(src, backend, Some(8));
-        match out {
-            Outcome::Ok { output, .. } => assert_eq!(output, expected, "{backend:?}"),
-            other => panic!("{backend:?}: expected success, got {other:?}"),
+        for nursery in NURSERIES {
+            let arm = format!("{backend:?} nursery {nursery:?}");
+            // A limit of 8 forces collections while b1/b2/alias are live
+            // and must be forwarded together through dozens of
+            // compactions.
+            let (out, stats) = run_cfg(src, backend, gc(Some(8), nursery));
+            match out {
+                Outcome::Ok { output, .. } => assert_eq!(output, expected, "{arm}"),
+                other => panic!("{arm}: expected success, got {other:?}"),
+            }
+            assert!(stats.gc_runs > 0, "{arm}: collector never ran");
+            assert!(stats.peak_live <= 8, "{arm}: {}", stats.peak_live);
         }
-        assert!(stats.gc_runs > 0, "{backend:?}: collector never ran");
-        assert!(stats.peak_live <= 8, "{backend:?}: {}", stats.peak_live);
     }
 }
 
@@ -187,12 +187,15 @@ fn allocation_in_flight_survives_gc_during_initialisers() {
            print c.v;
          }"#;
     for backend in [Backend::TreeWalk, Backend::Vm] {
-        let (out, stats) = run_with(src, backend, Some(4));
-        match out {
-            Outcome::Ok { output, .. } => assert_eq!(output, vec!["200"], "{backend:?}"),
-            other => panic!("{backend:?}: expected success, got {other:?}"),
+        for nursery in NURSERIES {
+            let arm = format!("{backend:?} nursery {nursery:?}");
+            let (out, stats) = run_cfg(src, backend, gc(Some(4), nursery));
+            match out {
+                Outcome::Ok { output, .. } => assert_eq!(output, vec!["200"], "{arm}"),
+                other => panic!("{arm}: expected success, got {other:?}"),
+            }
+            assert!(stats.gc_runs > 0, "{arm}: collector never ran");
         }
-        assert!(stats.gc_runs > 0, "{backend:?}: collector never ran");
     }
 }
 
@@ -232,12 +235,14 @@ fn gc_on_equals_gc_off_on_every_paper_program() {
         .chain(studies.iter().map(|(n, s)| (*n, s.clone())));
     for (name, src) in all {
         for backend in [Backend::TreeWalk, Backend::Vm] {
-            let (with_gc, _) = run_with(&src, backend, Some(4));
-            let (without, _) = run_with(&src, backend, None);
-            assert_eq!(
-                with_gc, without,
-                "[{name}] {backend:?}: GC changed observable behaviour"
-            );
+            let (without, _) = run_cfg(&src, backend, RunConfig::default());
+            for nursery in NURSERIES {
+                let (with_gc, _) = run_cfg(&src, backend, gc(Some(4), nursery));
+                assert_eq!(
+                    with_gc, without,
+                    "[{name}] {backend:?} nursery {nursery:?}: GC changed observable behaviour"
+                );
+            }
         }
     }
 }
@@ -251,20 +256,23 @@ fn serve_bounds_worker_heap_within_a_request() {
         .with_backend(Backend::Vm)
         .compile(&churn_program(20_000))
         .unwrap();
-    let mut cfg = jns_serve::ServeConfig::with_workers(2);
-    cfg.queue_cap = 8;
-    cfg.heap_limit = Some(64);
-    let report = jns_serve::serve_batch(&compiled, &cfg, 6);
-    assert_eq!(report.responses.len(), 6);
-    assert!(report.uniform(), "responses diverged");
-    for r in &report.responses {
-        assert_eq!(r.output, vec!["20000"]);
-        assert!(r.stats.gc_runs > 0, "worker never collected");
-        assert!(r.stats.peak_live <= 64, "peak {}", r.stats.peak_live);
+    for nursery in NURSERIES {
+        let mut cfg = jns_serve::ServeConfig::with_workers(2);
+        cfg.queue_cap = 8;
+        cfg.heap_limit = Some(64);
+        cfg.nursery = nursery;
+        let report = jns_serve::serve_batch(&compiled, &cfg, 6);
+        assert_eq!(report.responses.len(), 6, "nursery {nursery:?}");
+        assert!(report.uniform(), "nursery {nursery:?}: responses diverged");
+        for r in &report.responses {
+            assert_eq!(r.output, vec!["20000"]);
+            assert!(r.stats.gc_runs > 0, "worker never collected");
+            assert!(r.stats.peak_live <= 64, "peak {}", r.stats.peak_live);
+        }
+        // The aggregate (what `jns serve --stats` prints) carries the GC
+        // counters — the per-worker reclamation is no longer invisible.
+        assert!(report.aggregate.gc_runs >= 6);
+        assert!(report.aggregate.reclaimed >= 6 * (20_000 - 64));
+        assert!(report.aggregate.peak_live <= 64);
     }
-    // The aggregate (what `jns serve --stats` prints) carries the GC
-    // counters — the per-worker reclamation is no longer invisible.
-    assert!(report.aggregate.gc_runs >= 6);
-    assert!(report.aggregate.reclaimed >= 6 * (20_000 - 64));
-    assert!(report.aggregate.peak_live <= 64);
 }

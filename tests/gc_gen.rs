@@ -18,56 +18,11 @@
 //!    and 64 and with the nursery off, with object identity and view
 //!    state preserved across minor *and* major collections.
 
-use jns_core::{lambda, service, Backend, Compiler, Error};
-use jns_eval::RtError;
+use jns_core::{lambda, service, Backend};
 use proptest::prelude::*;
 
 mod corpus;
-use corpus::{PAPER_EXAMPLES, PAPER_FIGURES};
-
-/// The observable result of one run: printed output plus the semantic
-/// statistics — everything that must not depend on whether, when, or
-/// *how* (minor/major) the collector ran.
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    Ok {
-        output: Vec<String>,
-        semantic: (u64, u64, u64, u64, u64),
-    },
-    Runtime(RtError),
-}
-
-/// Runs `src` with an explicit GC mode. `Compiler::default()` — not
-/// `new()` — so an ambient `JNS_NURSERY` cannot silently change the
-/// arms this suite compares.
-fn run_mode(
-    src: &str,
-    backend: Backend,
-    heap_limit: Option<usize>,
-    nursery: Option<usize>,
-) -> (Outcome, jns_core::Stats) {
-    let mut compiler = Compiler::default().with_backend(backend);
-    if let Some(l) = heap_limit {
-        compiler = compiler.with_heap_limit(l);
-    }
-    if let Some(n) = nursery {
-        compiler = compiler.with_nursery(n);
-    }
-    let compiled = compiler
-        .compile(src)
-        .unwrap_or_else(|e| panic!("does not compile: {e}"));
-    match compiled.run() {
-        Ok(out) => (
-            Outcome::Ok {
-                output: out.output,
-                semantic: out.stats.semantic(),
-            },
-            out.stats,
-        ),
-        Err(Error::Runtime(e)) => (Outcome::Runtime(e), jns_core::Stats::default()),
-        Err(e) => panic!("non-runtime failure: {e}"),
-    }
-}
+use corpus::{gc, run_cfg, Outcome, PAPER_EXAMPLES, PAPER_FIGURES};
 
 /// Guarantee 1 across the whole paper corpus and both case studies:
 /// generational collection under a tight limit (minors fire even in
@@ -106,9 +61,9 @@ fn generational_equals_stop_the_world_equals_gc_off_on_every_paper_program() {
         .chain(studies.iter().map(|(n, s)| (*n, s.clone())));
     for (name, src) in all {
         for backend in [Backend::TreeWalk, Backend::Vm] {
-            let (generational, _) = run_mode(&src, backend, Some(4), Some(2));
-            let (stop_the_world, _) = run_mode(&src, backend, Some(4), None);
-            let (gc_off, off_stats) = run_mode(&src, backend, None, None);
+            let (generational, _) = run_cfg(&src, backend, gc(Some(4), Some(2)));
+            let (stop_the_world, _) = run_cfg(&src, backend, gc(Some(4), None));
+            let (gc_off, off_stats) = run_cfg(&src, backend, gc(None, None));
             assert_eq!(
                 generational, stop_the_world,
                 "[{name}] {backend:?}: nursery changed observable behaviour"
@@ -140,7 +95,7 @@ fn nursery_without_a_limit_never_collects() {
                  print c.v;
                }";
     for backend in [Backend::TreeWalk, Backend::Vm] {
-        let (out, stats) = run_mode(src, backend, None, Some(8));
+        let (out, stats) = run_cfg(src, backend, gc(None, Some(8)));
         match out {
             Outcome::Ok { output, .. } => assert_eq!(output, vec!["500"], "{backend:?}"),
             other => panic!("{backend:?}: expected success, got {other:?}"),
@@ -188,7 +143,7 @@ fn tenured_holder_keeps_nursery_child_alive_through_minors() {
                  print s.n;
                }";
     for backend in [Backend::TreeWalk, Backend::Vm] {
-        let (out, stats) = run_mode(src, backend, Some(16), Some(4));
+        let (out, stats) = run_cfg(src, backend, gc(Some(16), Some(4)));
         match out {
             Outcome::Ok { output, .. } => {
                 assert_eq!(output, vec!["41", "128"], "{backend:?}")
@@ -201,9 +156,9 @@ fn tenured_holder_keeps_nursery_child_alive_through_minors() {
             "{backend:?}: the tenured→nursery store never hit the barrier"
         );
         // And the same program agrees with every other GC mode.
-        let (gen_out, _) = run_mode(src, backend, Some(16), Some(4));
-        let (stw_out, _) = run_mode(src, backend, Some(16), None);
-        let (off_out, _) = run_mode(src, backend, None, None);
+        let (gen_out, _) = run_cfg(src, backend, gc(Some(16), Some(4)));
+        let (stw_out, _) = run_cfg(src, backend, gc(Some(16), None));
+        let (off_out, _) = run_cfg(src, backend, gc(None, None));
         assert_eq!(gen_out, stw_out, "{backend:?}");
         assert_eq!(stw_out, off_out, "{backend:?}");
     }
@@ -287,7 +242,7 @@ proptest! {
     fn generated_programs_agree_across_all_gc_modes(spec in spec_strategy()) {
         let src = render(&spec);
         for backend in [Backend::TreeWalk, Backend::Vm] {
-            let (baseline, _) = run_mode(&src, backend, None, None);
+            let (baseline, _) = run_cfg(&src, backend, gc(None, None));
             if let Outcome::Ok { output, .. } = &baseline {
                 // Identity and masked view state survive (trivially: no
                 // GC ran) — the generated checks themselves are sound.
@@ -296,13 +251,13 @@ proptest! {
                     "identity check failed without GC:\n{}", src
                 );
             }
-            let (stw, _) = run_mode(&src, backend, Some(spec.limit), None);
+            let (stw, _) = run_cfg(&src, backend, gc(Some(spec.limit), None));
             prop_assert_eq!(
                 &stw, &baseline,
                 "{:?}: stop-the-world diverged from GC-off on\n{}", backend, src
             );
             for nursery in [1usize, 8, 64] {
-                let (gen, _) = run_mode(&src, backend, Some(spec.limit), Some(nursery));
+                let (gen, _) = run_cfg(&src, backend, gc(Some(spec.limit), Some(nursery)));
                 prop_assert_eq!(
                     &gen, &baseline,
                     "{:?} nursery={}: generational diverged on\n{}", backend, nursery, src

@@ -15,10 +15,16 @@
 //!   count, per-worker request counts sum to the total, the queue
 //!   high-water mark respects capacity, and the traced request
 //!   start/end events pair up per id.
+//! - **`jns run` and `jns serve` take their limit flags the same way.**
+//!   One request on one worker writes the same profile counters as a
+//!   single VM run under the same flags, and both commands reject a
+//!   malformed limit with the same message.
 
 use jns_core::{Backend, Compiler, RunOptions, RunOutput};
 use jns_obs::{Json, TraceBuffer, TraceEvent};
 use jns_serve::{serve_batch, ServeConfig};
+use std::path::Path;
+use std::process::{Command, Output};
 
 mod corpus;
 use corpus::{PAPER_EXAMPLES, PAPER_FIGURES};
@@ -315,4 +321,71 @@ fn serve_tracing_does_not_change_responses() {
         )
     };
     assert_eq!(agg(&plain), agg(&traced), "tracing changed aggregate stats");
+}
+
+/// Runs the `jns` binary with `args`.
+fn jns(args: &[&str], path: &Path) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_jns"))
+        .args(args)
+        .arg(path)
+        .output()
+        .expect("spawn jns")
+}
+
+/// The shared flags reach the engine through one `RunConfig` on both
+/// commands: `serve --workers 1 --requests 1` counts exactly what `run
+/// --vm` counts, under every limit flag, and both commands reject a
+/// malformed limit alike.
+#[test]
+fn run_and_serve_apply_the_same_limit_flags() {
+    let dir = std::env::temp_dir().join(format!("jns-run-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let churn = "class W { class Cell { int v = 0; } class Junk { } }
+                 main {
+                   final W.Cell c = new W.Cell();
+                   while (c.v < 300) { final W.Junk j = new W.Junk(); c.v = c.v + 1; }
+                   print c.v;
+                 }";
+    let programs = [PAPER_EXAMPLES[0], PAPER_FIGURES[0], ("churn", churn)];
+    let flag_sets: [&[&str]; 4] = [
+        &[],
+        &["--no-fuse"],
+        &["--heap-limit", "4", "--max-depth", "64"],
+        &["--heap-limit", "16", "--nursery", "2"],
+    ];
+    let profile = dir.join("profile.json");
+    let profile_arg = profile.to_str().expect("utf-8 temp path");
+    let counters = |cmd: &[&str], flags: &[&str], path: &Path| {
+        let args = [cmd, flags, &["--profile-json", profile_arg]].concat();
+        let out = jns(&args, path);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let text = std::fs::read_to_string(&profile).expect("profile written");
+        let doc = jns_obs::json::parse(text.trim()).expect("profile parses");
+        doc.get("counters").expect("counters").to_string()
+    };
+    for (name, src) in programs {
+        let path = dir.join(format!("{name}.jns"));
+        std::fs::write(&path, src).expect("write program");
+        for flags in flag_sets {
+            let run = counters(&["run", "--vm"], flags, &path);
+            let serve = counters(
+                &["serve", "--workers", "1", "--requests", "1"],
+                flags,
+                &path,
+            );
+            assert_eq!(run, serve, "[{name}] {flags:?}");
+        }
+    }
+    let path = dir.join("churn.jns");
+    let bad = ["--heap-limit", "abc"];
+    let run = jns(&[&["run", "--vm"][..], &bad].concat(), &path);
+    let serve = jns(&[&["serve"][..], &bad].concat(), &path);
+    for out in [&run, &serve] {
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: --heap-limit: bad number `abc`\n"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -130,7 +130,8 @@ proptest! {
                 es.iter().map(|e| e.message.clone()).collect::<Vec<_>>().join("; ")
             )
         });
-        let mut m = jns_eval::Machine::new(&checked).with_fuel(2_000_000);
+        let fuel = jns_eval::RunConfig { fuel: Some(2_000_000), ..Default::default() };
+        let mut m = jns_eval::Machine::new(&checked).with_config(fuel);
         match m.run() {
             Ok(_) => {}
             Err(e) if e.is_benign() => {}
@@ -147,8 +148,10 @@ proptest! {
         }
         // Backend equivalence: the bytecode VM never gets stuck either,
         // and produces identical printed output on every generated program.
-        match jns_vm::run(&checked, Some(2_000_000)) {
-            Ok(out) => prop_assert_eq!(&out.output, &m.output, "backends diverge on\n{}", src),
+        let code = jns_vm::compile(&checked);
+        let mut vm = jns_vm::Vm::new(&checked, &code).with_config(fuel);
+        match vm.run() {
+            Ok(_) => prop_assert_eq!(&vm.output, &m.output, "backends diverge on\n{}", src),
             Err(e) if e.is_benign() => {}
             Err(e) => panic!("VM soundness violation: {e}\n{src}"),
         }
