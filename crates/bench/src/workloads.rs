@@ -8,7 +8,8 @@
 //!   the §7.3 lambda compiler and the §2.4 service evolution, each on
 //!   the tree-walking interpreter and the bytecode VM, plus the lambda
 //!   program's front-end (parse + check) and its one-time bytecode
-//!   lowering.
+//!   lowering, and the front-end on one `adapts` family over 12- and
+//!   16-deep `extends` chains (`frontend_deep`).
 //! - **`dispatch`** — the §6.3 ablations over the four Table 1
 //!   implementation strategies (a tight virtual-call loop per strategy),
 //!   the VM dispatch engine against its unfused form and the tree-walker
@@ -134,6 +135,39 @@ pub fn service_source() -> String {
     service::program(main_body)
 }
 
+/// Classes in the base family of [`frontend_deep_source`].
+const DEEP_CLASSES: usize = 5;
+
+/// The J&s source of the `frontend_deep` workload: families `F0` … `F{d-1}`,
+/// each extending the one before, and one family `G` that `adapts` the
+/// last. `F0` declares `C0` … `C4`, each `Ck` extending `Ck-1` and holding
+/// a late-bound `Ck-1` field, so every later family inherits (and `G`
+/// shares) a class hierarchy whose checking walks the whole chain.
+/// `main` views an object of the last chain family as `G`'s and prints 1.
+pub fn frontend_deep_source(depth: usize) -> String {
+    let mut src = String::from("class F0 {\n");
+    for k in 0..DEEP_CLASSES {
+        let (ext, field) = match k {
+            0 => (String::new(), String::new()),
+            _ => (format!(" extends C{}", k - 1), format!(" C{} p{k};", k - 1)),
+        };
+        src.push_str(&format!(
+            "  class C{k}{ext} {{ int v{k} = {k};{field} int m{k}() {{ return this.v{k} + 1; }} }}\n"
+        ));
+    }
+    src.push_str("}\n");
+    for i in 1..depth {
+        src.push_str(&format!("class F{i} extends F{} {{ }}\n", i - 1));
+    }
+    let last = depth - 1;
+    src.push_str(&format!(
+        "class G extends F{last} adapts F{last} {{ }}\n\
+         main {{\n  final F{last}!.C0 o = new F{last}.C0();\n  \
+         final G!.C0 g = (view G!.C0)o;\n  print g.m0();\n}}\n"
+    ));
+    src
+}
+
 fn backend_pair() -> [(Backend, &'static str); 2] {
     [(Backend::TreeWalk, "treewalk"), (Backend::Vm, "vm")]
 }
@@ -191,6 +225,20 @@ fn vm_suite() -> Vec<Workload> {
                 .expect("lambda workload typechecks");
         }),
     ));
+    // Checker growth with the depth of an inheritance chain: parse and
+    // check only, as `jns check` does.
+    for depth in [12, 16] {
+        let src = frontend_deep_source(depth);
+        out.push(Workload::new(
+            "frontend_deep",
+            &format!("d{depth}"),
+            Box::new(move || {
+                Compiler::new()
+                    .compile(&src)
+                    .expect("deep-chain workload typechecks");
+            }),
+        ));
+    }
     out
 }
 

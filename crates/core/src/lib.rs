@@ -35,7 +35,7 @@ use std::fmt;
 
 pub use jns_eval::{Machine, RtError, RunConfig, Stats, Value};
 pub use jns_syntax::{parse, ParseError, Program};
-pub use jns_types::{check, CheckedProgram, TypeError};
+pub use jns_types::{check, CheckTimings, CheckedProgram, TypeError};
 
 /// Any error from the pipeline.
 #[derive(Debug)]
@@ -195,19 +195,24 @@ impl Compiler {
             },
         )?;
         let check_us = check_start.elapsed().as_micros() as u64;
+        let check_phases = checked.timings;
         Ok(Compiled {
             program: checked,
             run: self.run,
             backend: self.backend,
             no_fuse: self.no_fuse,
             bytecode: std::sync::OnceLock::new(),
-            timings: CompileTimings { parse_us, check_us },
+            timings: CompileTimings {
+                parse_us,
+                check_us,
+                check_phases,
+            },
         })
     }
 }
 
 /// Wall-clock cost of the front-end phases, microseconds. Recorded on
-/// every compile (two `Instant` reads — unobservable next to parsing
+/// every compile (a few `Instant` reads — unobservable next to parsing
 /// itself) so `--trace` can emit phase events without a re-compile.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompileTimings {
@@ -215,6 +220,8 @@ pub struct CompileTimings {
     pub parse_us: u64,
     /// Type checking (including sharing-constraint verification).
     pub check_us: u64,
+    /// `check_us` split into the checker's phases.
+    pub check_phases: jns_types::CheckTimings,
 }
 
 /// A compiled program, ready to run.

@@ -47,7 +47,8 @@ impl IcKind {
 /// One structured runtime event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A front-end phase completed (`parse`, `check`, `lower`).
+    /// A front-end phase completed (`parse`, `check` and its parts
+    /// `check.resolve`/`.sharing`/`.bodies`/`.constraints`, `lower`).
     Phase {
         /// Phase name.
         name: &'static str,

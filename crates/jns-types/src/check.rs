@@ -49,6 +49,29 @@ pub struct CheckOptions {
     pub infer_constraints: bool,
 }
 
+/// Wall-clock time of each checker phase, in microseconds. Recorded on
+/// every check (a few `Instant` reads), carried in
+/// [`CheckedProgram::timings`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CheckTimings {
+    /// Class skeletons, clauses and signatures, and the P-OK cycle check.
+    pub resolve_us: u64,
+    /// `SharingTable::build`: sharing groups, field copies, forwarding.
+    pub sharing_us: u64,
+    /// Field initialisers, method bodies and `main`.
+    pub bodies_us: u64,
+    /// Q-OK / L-OK validation of every method's sharing constraints.
+    pub constraints_us: u64,
+}
+
+/// Microseconds since `*t`, restarting `*t`.
+fn lap(t: &mut std::time::Instant) -> u64 {
+    let now = std::time::Instant::now();
+    let us = now.duration_since(*t).as_micros() as u64;
+    *t = now;
+    us
+}
+
 /// Type-checks with explicit [`CheckOptions`].
 ///
 /// # Errors
@@ -58,6 +81,8 @@ pub fn check_with(
     program: &syn::Program,
     options: CheckOptions,
 ) -> Result<CheckedProgram, Vec<TypeError>> {
+    let mut clock = std::time::Instant::now();
+    let mut timings = CheckTimings::default();
     let resolved = resolve(program)?;
     let mut errors = Vec::new();
 
@@ -75,8 +100,10 @@ pub fn check_with(
         }
         return Err(errors);
     }
+    timings.resolve_us = lap(&mut clock);
 
     let (sharing, serrs) = SharingTable::build(&resolved.table, resolved.sharing_pairs.clone());
+    timings.sharing_us = lap(&mut clock);
     for e in serrs {
         errors.push(TypeError {
             message: e.message,
@@ -108,10 +135,12 @@ pub fn check_with(
         };
         cx.check_block(b).1
     });
+    timings.bodies_us = lap(&mut clock);
 
     // Q-OK / L-OK constraint validation over every class materialised so
     // far (including implicit ones pulled in by body checking).
     checker.check_constraints();
+    timings.constraints_us = lap(&mut clock);
 
     let Checker {
         errors,
@@ -126,6 +155,7 @@ pub fn check_with(
             methods,
             field_inits,
             main,
+            timings,
         })
     } else {
         Err(errors)
@@ -261,7 +291,7 @@ impl<'t> Checker<'t> {
         let mut env = TypeEnv::new();
         env.bind(
             self.table.this_name,
-            Ty::Class(id).with_masks(all_fields.into_iter().collect()),
+            Ty::Class(id).with_masks(all_fields.iter().copied().collect()),
         );
         let declared = match resolve_type(self.table, id, &f.ty) {
             Ok(t) => t,

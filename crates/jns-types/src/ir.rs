@@ -5,6 +5,7 @@
 //! the run-time stack (type evaluation contexts `TE`, Fig. 16), which is
 //! how late binding of type names works at run time.
 
+use crate::check::CheckTimings;
 use crate::names::Name;
 use crate::sharing::SharingTable;
 use crate::table::ClassTable;
@@ -149,6 +150,8 @@ pub struct CheckedProgram {
     pub field_inits: HashMap<(ClassId, Name), CExpr>,
     /// The main expression, if the program has one.
     pub main: Option<CExpr>,
+    /// How long each checker phase took.
+    pub timings: CheckTimings,
 }
 
 impl CheckedProgram {

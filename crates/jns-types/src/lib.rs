@@ -20,7 +20,7 @@ pub mod sharing;
 pub mod table;
 pub mod ty;
 
-pub use check::{check, check_with, CheckOptions};
+pub use check::{check, check_with, CheckOptions, CheckTimings};
 pub use env::TypeEnv;
 pub use ir::{CExpr, CMethod, CheckedProgram};
 pub use judge::Judge;

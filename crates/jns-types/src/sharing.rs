@@ -7,6 +7,7 @@ use crate::judge::Judge;
 use crate::names::Name;
 use crate::table::ClassTable;
 use crate::ty::{ClassId, Ty, Type};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 
 /// The computed sharing structure of a program.
@@ -29,7 +30,14 @@ pub struct SharingTable {
     /// Forwarding: reading `(view-class, field)` may fall back to the
     /// other family's copy (`fclass` id) through a view change (§3.3).
     forwards: HashMap<(ClassId, Name), Vec<ClassId>>,
+    /// SH-CLS's closed-world enumeration per canonical non-dependent
+    /// family type (see [`SharingTable::enumerate_subclasses`]).
+    subclasses: RefCell<HashMap<Ty, Enumeration>>,
 }
+
+/// One memoised enumeration: the class count it was computed at, and
+/// the answer.
+type Enumeration = (usize, Option<Vec<ClassId>>);
 
 /// An error discovered while building the sharing table.
 #[derive(Debug, Clone)]
@@ -75,10 +83,11 @@ impl SharingTable {
         if !self.shared(src, dst) {
             return None;
         }
+        let src_names = table.field_names(src);
         let mut masks = BTreeSet::new();
-        for f in table.field_names(dst) {
+        for &f in table.field_names(dst).iter() {
             let dst_copy = self.fclass(dst, f);
-            let src_has = table.field_names(src).contains(&f);
+            let src_has = src_names.contains(&f);
             let same_copy = src_has && self.fclass(src, f) == dst_copy;
             let forwarded = self
                 .forwards(dst, f)
@@ -165,6 +174,8 @@ impl SharingTable {
         for (c, g) in &group_of {
             st.groups.insert(*c, groups[*g].clone());
         }
+        groups.retain(|g| !g.is_empty());
+        groups.sort();
 
         // Field-copy attribution fixpoint. Start optimistic: every common
         // field follows the `shares` chain to the base copy; then force
@@ -182,9 +193,10 @@ impl SharingTable {
             // Recompute fclass from the current duplication sets.
             st.fclass.clear();
             for (d, b, _) in &st.declared {
-                for f in table.field_names(*d) {
-                    let shared_field = table.field_names(*b).contains(&f)
-                        && !dup.get(d).is_some_and(|s| s.contains(&f));
+                let b_names = table.field_names(*b);
+                for &f in table.field_names(*d).iter() {
+                    let shared_field =
+                        b_names.contains(&f) && !dup.get(d).is_some_and(|s| s.contains(&f));
                     if shared_field {
                         // Follow the chain: the base may itself share on.
                         let target = st.fclass(*b, f);
@@ -196,11 +208,12 @@ impl SharingTable {
             let mut changed = false;
             let judge = Judge::new(table, &env);
             for (d, b, _) in &st.declared {
-                for f in table.field_names(*d) {
+                let b_names = table.field_names(*b);
+                for &f in table.field_names(*d).iter() {
                     if st.fclass(*d, f) == *d {
                         continue; // already own copy
                     }
-                    if !table.field_names(*b).contains(&f) {
+                    if !b_names.contains(&f) {
                         continue;
                     }
                     let td = interp_field(&judge, *d, f);
@@ -220,20 +233,23 @@ impl SharingTable {
                 break;
             }
         }
-        // Final fields may not be duplicated (L-OK).
-        for (d, set) in &dup {
-            for f in set {
-                if let Some((_, fi)) = table.field(*d, *f) {
-                    if fi.is_final {
-                        errors.push(SharingError {
-                            message: format!(
-                                "final field `{}` of `{}` has an unshared type and cannot be duplicated",
-                                table.name_str(*f),
-                                table.class_name(*d)
-                            ),
-                            class: *d,
-                        });
-                    }
+        // Final fields may not be duplicated (L-OK). Reported in
+        // declaration order, so the diagnostics are stable run to run.
+        let mut reported = BTreeSet::new();
+        for (d, _, _) in &st.declared {
+            if !reported.insert(*d) {
+                continue;
+            }
+            for f in dup.get(d).into_iter().flatten() {
+                if table.field(*d, *f).is_some_and(|(_, fi)| fi.is_final) {
+                    errors.push(SharingError {
+                        message: format!(
+                            "final field `{}` of `{}` has an unshared type and cannot be duplicated",
+                            table.name_str(*f),
+                            table.class_name(*d)
+                        ),
+                        class: *d,
+                    });
                 }
             }
         }
@@ -249,32 +265,28 @@ impl SharingTable {
         // the forwarding of `Abs.e`, which depends on the relation itself —
         // so we compute a greatest fixpoint: start with every candidate
         // forward, then strike out those whose type check fails, until
-        // stable.
+        // stable. Candidates come from each group once, in class-id order.
         let judge = Judge::new(table, &env);
-        let all_pairs: Vec<(ClassId, ClassId)> = st
-            .groups
-            .values()
-            .flat_map(|g| {
-                g.iter()
-                    .flat_map(|a| g.iter().map(move |b| (*a, *b)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
         let mut candidates: Vec<(ClassId, Name, ClassId)> = Vec::new();
         let mut forwards: HashMap<(ClassId, Name), Vec<ClassId>> = HashMap::new();
-        for (src, dst) in all_pairs {
-            if src == dst {
-                continue;
-            }
-            for f in table.field_names(dst) {
-                let dst_copy = st.fclass(dst, f);
-                if table.field_names(src).contains(&f) {
-                    let src_copy = st.fclass(src, f);
-                    if src_copy != dst_copy {
-                        let entry = forwards.entry((dst, f)).or_default();
-                        if !entry.contains(&src_copy) {
-                            entry.push(src_copy);
-                            candidates.push((dst, f, src_copy));
+        for g in &groups {
+            for &src in g {
+                let src_names = table.field_names(src);
+                for &dst in g {
+                    if src == dst {
+                        continue;
+                    }
+                    for &f in table.field_names(dst).iter() {
+                        if !src_names.contains(&f) {
+                            continue;
+                        }
+                        let src_copy = st.fclass(src, f);
+                        if src_copy != st.fclass(dst, f) {
+                            let entry = forwards.entry((dst, f)).or_default();
+                            if !entry.contains(&src_copy) {
+                                entry.push(src_copy);
+                                candidates.push((dst, f, src_copy));
+                            }
                         }
                     }
                 }
@@ -359,17 +371,13 @@ impl SharingTable {
         // Class-level sharing (SH-DECL/SH-TRANS via the fclass structure).
         if let (Some(x), Some(y)) = (exact_class(j, &c1.ty), exact_class(j, &c2.ty)) {
             if let Some(required) = self.dir_masks(j.table, x, y) {
-                let carried: BTreeSet<Name> = c1
-                    .masks
-                    .iter()
-                    .copied()
-                    .filter(|f| {
-                        j.table.field_names(y).contains(f)
-                            && j.table.field_names(x).contains(f)
-                            && self.fclass(x, *f) == self.fclass(y, *f)
-                    })
-                    .collect();
-                return required.union(&carried).all(|f| c2.masks.contains(f));
+                let (x_names, y_names) = (j.table.field_names(x), j.table.field_names(y));
+                let carried = c1.masks.iter().filter(|f| {
+                    y_names.contains(f)
+                        && x_names.contains(f)
+                        && self.fclass(x, **f) == self.fclass(y, **f)
+                });
+                return required.iter().chain(carried).all(|f| c2.masks.contains(f));
             }
             return false;
         }
@@ -389,9 +397,10 @@ impl SharingTable {
                         .copied()
                         .filter(|y| {
                             self.dir_masks(j.table, *x, *y).is_some_and(|req| {
-                                req.union(&c1.masks.iter().copied().collect()).all(|f| {
-                                    c2.masks.contains(f) || !j.table.field_names(*y).contains(f)
-                                })
+                                let y_names = j.table.field_names(*y);
+                                req.iter()
+                                    .chain(&c1.masks)
+                                    .all(|f| c2.masks.contains(f) || !y_names.contains(f))
                             })
                         })
                         .collect();
@@ -419,41 +428,67 @@ impl SharingTable {
 
     /// Enumerates the classes `X` with `X! ≤ PS` for a family type `PS`
     /// with an exact prefix, using the locally closed world (§2.1).
+    ///
+    /// The answer for a non-dependent `PS` is memoised per canonical
+    /// type. It does not read Γ, and `shares_types` is never reached from
+    /// inside a `sub_pure` search, so it is never computed under a cycle
+    /// cut. It can depend on which implicit classes exist (through `~`),
+    /// so an entry answers only while the table holds as many classes as
+    /// when it was computed. The checker's only `update` after building
+    /// this table adds inferred method constraints, which it does not read.
     pub fn enumerate_subclasses(&self, j: &Judge<'_>, ps: &Ty) -> Option<Vec<ClassId>> {
         let ps = j.canon(ps);
         if let Some(c) = exact_class(j, &ps) {
             return Some(vec![c]);
         }
-        // Form: F!.C — find the families, then their one-level members.
-        let (prefix, _name) = match &ps {
-            Ty::Nested(inner, c) => (inner.clone(), *c),
-            _ => return None,
-        };
-        if !prefix.is_exact() {
-            return None;
+        if !ps.is_non_dependent() {
+            return closed_world_subclasses(j, &ps);
         }
-        let fams = j.table.mem(&prefix);
-        if fams.is_empty() {
-            return None;
-        }
-        let mut out = Vec::new();
-        for fam in fams {
-            // All nested names visible in the family (own + inherited).
-            let mut names: BTreeSet<Name> = BTreeSet::new();
-            for s in j.table.supers(fam) {
-                let info = j.table.class(s);
-                names.extend(info.nested_explicit.keys().copied());
+        let classes = j.table.len();
+        if let Some((n, subs)) = self.subclasses.borrow().get(&ps) {
+            if *n == classes {
+                return subs.clone();
             }
-            for n in names {
-                if let Some(m) = j.table.member(fam, n) {
-                    if j.sub_pure(&Ty::Class(m).exact(), &ps) && !out.contains(&m) {
-                        out.push(m);
-                    }
+        }
+        let subs = closed_world_subclasses(j, &ps);
+        self.subclasses
+            .borrow_mut()
+            .insert(ps, (classes, subs.clone()));
+        subs
+    }
+}
+
+/// [`SharingTable::enumerate_subclasses`] for a canonical `ps` of the form
+/// `F!.C`: every member class of each family `F` (own or inherited) whose
+/// exact type is a subtype of `ps`.
+fn closed_world_subclasses(j: &Judge<'_>, ps: &Ty) -> Option<Vec<ClassId>> {
+    let Ty::Nested(prefix, _) = ps else {
+        return None;
+    };
+    if !prefix.is_exact() {
+        return None;
+    }
+    let fams = j.table.mem(prefix);
+    if fams.is_empty() {
+        return None;
+    }
+    let mut out = Vec::new();
+    for fam in fams {
+        // All nested names visible in the family (own + inherited).
+        let mut names: BTreeSet<Name> = BTreeSet::new();
+        for s in j.table.supers(fam) {
+            let info = j.table.class(s);
+            names.extend(info.nested_explicit.keys().copied());
+        }
+        for n in names {
+            if let Some(m) = j.table.member(fam, n) {
+                if j.sub_pure(&Ty::Class(m).exact(), ps) && !out.contains(&m) {
+                    out.push(m);
                 }
             }
         }
-        Some(out)
     }
+    Some(out)
 }
 
 /// If `t` denotes a single exact class, returns it.

@@ -9,6 +9,7 @@ use crate::names::{Interner, Name};
 use crate::ty::{ClassId, TPath, Ty, Type};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 /// A field declaration, resolved.
 #[derive(Debug, Clone)]
@@ -84,9 +85,39 @@ pub struct ClassTable {
     member_cache: RefCell<HashMap<(ClassId, Name), Option<ClassId>>>,
     direct_cache: RefCell<HashMap<ClassId, Vec<ClassId>>>,
     supers_cache: RefCell<HashMap<ClassId, Vec<ClassId>>>,
+    names_cache: RefCell<HashMap<ClassId, Arc<BTreeSet<Name>>>>,
+    components: RefCell<Components>,
     in_progress: RefCell<HashSet<ClassId>>,
     /// `this` as an interned name (filled by `new`).
     pub this_name: Name,
+}
+
+/// The `~` relation as a union-find over the `@` edges of the first
+/// `closed` classes (Tarjan, JACM 1975). Classes only ever join the table,
+/// and without an `update` their edges never change, so growing the set
+/// only adds unions; `update` starts it over.
+#[derive(Debug, Clone, Default)]
+struct Components {
+    closed: usize,
+    parent: Vec<u32>,
+}
+
+impl Components {
+    fn find(&mut self, mut x: u32) -> u32 {
+        while self.parent[x as usize] != x {
+            let up = self.parent[self.parent[x as usize] as usize];
+            self.parent[x as usize] = up;
+            x = up;
+        }
+        x
+    }
+
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra != rb {
+            self.parent[ra.max(rb) as usize] = ra.min(rb);
+        }
+    }
 }
 
 impl Default for ClassTable {
@@ -108,6 +139,8 @@ impl Clone for ClassTable {
             member_cache: RefCell::new(self.member_cache.borrow().clone()),
             direct_cache: RefCell::new(self.direct_cache.borrow().clone()),
             supers_cache: RefCell::new(self.supers_cache.borrow().clone()),
+            names_cache: RefCell::new(self.names_cache.borrow().clone()),
+            components: RefCell::new(self.components.borrow().clone()),
             in_progress: RefCell::new(self.in_progress.borrow().clone()),
             this_name: self.this_name,
         }
@@ -142,6 +175,8 @@ impl ClassTable {
             member_cache: RefCell::new(HashMap::new()),
             direct_cache: RefCell::new(HashMap::new()),
             supers_cache: RefCell::new(HashMap::new()),
+            names_cache: RefCell::new(HashMap::new()),
+            components: RefCell::new(Components::default()),
             in_progress: RefCell::new(HashSet::new()),
             this_name,
         }
@@ -252,6 +287,8 @@ impl ClassTable {
         // entries can be invalidated by a declaration change.
         self.direct_cache.borrow_mut().clear();
         self.supers_cache.borrow_mut().clear();
+        self.names_cache.borrow_mut().clear();
+        *self.components.borrow_mut() = Components::default();
         self.member_cache.borrow_mut().retain(|_, v| v.is_some());
         r
     }
@@ -566,35 +603,29 @@ impl ClassTable {
     }
 
     /// The `~` relation (Fig. 9): classes connected by further binding from
-    /// a common origin. Implemented as undirected reachability over `@`
-    /// edges between classes that share nested-class structure.
+    /// a common origin, i.e. undirected reachability over `@` edges.
+    ///
+    /// Answered from connected components over a closed class set: every
+    /// materialised class has had its `direct_supers` computed, and since
+    /// that can materialise further classes, those are taken in too until
+    /// the count is stable.
     pub fn related(&self, p1: ClassId, p2: ClassId) -> bool {
         if p1 == p2 {
             return true;
         }
-        // Undirected BFS over direct `@` edges.
-        let mut seen = vec![p1];
-        let mut queue = vec![p1];
-        while let Some(q) = queue.pop() {
-            let mut nbrs = self.direct_supers(q);
-            // reverse edges: all currently materialised classes that have q
-            // as a direct super
-            for id in self.all_ids() {
-                if self.direct_supers(id).contains(&q) {
-                    nbrs.push(id);
-                }
-            }
-            for nb in nbrs {
-                if nb == p2 {
-                    return true;
-                }
-                if !seen.contains(&nb) {
-                    seen.push(nb);
-                    queue.push(nb);
-                }
+        let mut comps = self.components.borrow_mut();
+        while comps.closed < self.len() {
+            let id = comps.closed as u32;
+            comps.closed += 1;
+            let sups = self.direct_supers(ClassId(id));
+            let n = self.len() as u32;
+            let have = comps.parent.len() as u32;
+            comps.parent.extend(have..n);
+            for s in sups {
+                comps.union(id, s.0);
             }
         }
-        false
+        comps.find(p1.0) == comps.find(p2.0)
     }
 
     // ----------------------------------------------------------- members
@@ -617,9 +648,22 @@ impl ClassTable {
         self.fields_of(p).into_iter().find(|(_, fi)| fi.name == f)
     }
 
-    /// All field names of class `p` including inherited ones.
-    pub fn field_names(&self, p: ClassId) -> BTreeSet<Name> {
-        self.fields_of(p).into_iter().map(|(_, f)| f.name).collect()
+    /// All field names of class `p` including inherited ones (computed once
+    /// per class until the next `update`).
+    pub fn field_names(&self, p: ClassId) -> Arc<BTreeSet<Name>> {
+        if let Some(names) = self.names_cache.borrow().get(&p) {
+            return Arc::clone(names);
+        }
+        let supers = self.supers(p);
+        let names = {
+            let classes = self.classes.borrow();
+            let names = supers
+                .iter()
+                .flat_map(|s| classes[s.0 as usize].fields.iter().map(|f| f.name));
+            Arc::new(names.collect::<BTreeSet<Name>>())
+        };
+        self.names_cache.borrow_mut().insert(p, Arc::clone(&names));
+        names
     }
 
     /// Looks up method `m` on class `p`: returns the *most derived*

@@ -1135,7 +1135,7 @@ impl<'p> Vm<'p> {
         let mut slots: HashMap<(ClassId, Name), u32> = HashMap::new();
         let mut n = 0u32;
         for &v in &partners {
-            for f in self.prog.table.field_names(v) {
+            for &f in self.prog.table.field_names(v).iter() {
                 let copy = self.prog.sharing.fclass(v, f);
                 slots.entry((copy, f)).or_insert_with(|| {
                     n += 1;

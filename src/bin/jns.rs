@@ -30,8 +30,10 @@
 //!       `--profile-folded` (VM only) writes the sampling profiler's
 //!       collapsed stacks, one sample every `--sample-stride`
 //!       instructions (default 101))
-//!   jns check <file.jns>
-//!       type-check only
+//!   jns check [--stats] <file.jns>
+//!       type-check only; `--stats` prints the parse and check times,
+//!       the check split into resolve, sharing, bodies and constraints
+//!       (`jns run --stats` prints the same line first)
 //!   jns serve [--workers N] [--requests N] [--queue N] [RUN FLAGS] <file.jns>
 //!       compile once, then replay the program's entrypoint N times
 //!       across a pool of worker VMs and report throughput. RUN FLAGS
@@ -79,7 +81,7 @@ const DEFAULT_SAMPLE_STRIDE: u64 = 101;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: jns run [--vm] [--stats] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
-         \x20      jns check <file.jns>\n\
+         \x20      jns check [--stats] <file.jns>\n\
          \x20      jns serve [--workers N] [--requests N] [--queue N] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--stats] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
          \x20      jns bench [--suite NAME]... [--repeat N] [--warmup N] [--out-dir DIR]\n\
          \x20      jns bench --compare OLD.json NEW.json [--frac F] [--gate FAST:SLOW]...\n\
@@ -221,6 +223,15 @@ fn write_artifacts(
     Ok(())
 }
 
+fn print_front_end(compiled: &jns_core::Compiled) {
+    let t = compiled.timings();
+    let c = t.check_phases;
+    eprintln!(
+        "front end       parse {} µs, check {} µs (resolve {}, sharing {}, bodies {}, constraints {})",
+        t.parse_us, t.check_us, c.resolve_us, c.sharing_us, c.bodies_us, c.constraints_us
+    );
+}
+
 fn print_stats(out: &RunOutput, total_chunks: usize) {
     let s = &out.stats;
     eprintln!("steps           {}", s.steps);
@@ -360,6 +371,9 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
     };
     if check_only {
         println!("ok");
+        if flags.stats {
+            print_front_end(&compiled);
+        }
         return ExitCode::SUCCESS;
     }
     // With --trace, seed the buffer with the front-end phase events
@@ -367,14 +381,17 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
     let trace_buf = flags.trace.as_ref().map(|_| {
         let mut buf = TraceBuffer::new(jns_obs::DEFAULT_TRACE_CAP);
         let t = compiled.timings();
-        buf.push(TraceEvent::Phase {
-            name: "parse",
-            micros: t.parse_us,
-        });
-        buf.push(TraceEvent::Phase {
-            name: "check",
-            micros: t.check_us,
-        });
+        let c = t.check_phases;
+        for (name, micros) in [
+            ("parse", t.parse_us),
+            ("check", t.check_us),
+            ("check.resolve", c.resolve_us),
+            ("check.sharing", c.sharing_us),
+            ("check.bodies", c.bodies_us),
+            ("check.constraints", c.constraints_us),
+        ] {
+            buf.push(TraceEvent::Phase { name, micros });
+        }
         if backend == Backend::Vm {
             buf.push(TraceEvent::Phase {
                 name: "lower",
@@ -393,6 +410,7 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
                 println!("{line}");
             }
             if flags.stats {
+                print_front_end(&compiled);
                 let total_chunks = match backend {
                     Backend::Vm => compiled.bytecode().chunks.len(),
                     Backend::TreeWalk => 0,
@@ -911,7 +929,7 @@ fn cmd_trace_report(args: Vec<String>) -> ExitCode {
     if !phases.is_empty() {
         println!("phases:");
         for (name, us) in &phases {
-            println!("  {name:<8} {us:>8} µs");
+            println!("  {name:<17} {us:>8} µs");
         }
     }
     if requests > 0 {

@@ -75,6 +75,32 @@ fn sharing_with_non_overridden_class() {
     .contains("override"));
 }
 
+/// L-OK: two shared classes each hold a `final` field whose type `E`
+/// makes unshared, so both fields would need duplicating. The errors come
+/// in declaration order, identically on every check in one process.
+#[test]
+fn final_field_errors_are_reported_in_declaration_order() {
+    let src = "class A1 {
+                 class D { }
+                 class C { final D g = new D(); }
+                 class K { final D h = new D(); }
+               }
+               class A2 extends A1 {
+                 class D shares A1.D { }
+                 class C shares A1.C { }
+                 class K shares A1.K { }
+                 class E extends D { }
+               }";
+    let first = reject(src);
+    let lines: Vec<&str> = first.lines().collect();
+    assert_eq!(lines.len(), 2, "{first}");
+    assert!(lines[0].contains("`g` of `A2.C`"), "{first}");
+    assert!(lines[1].contains("`h` of `A2.K`"), "{first}");
+    for _ in 0..20 {
+        assert_eq!(reject(src), first);
+    }
+}
+
 #[test]
 fn masked_field_read_via_new() {
     assert!(reject(
