@@ -1,6 +1,6 @@
 //! The benchmark workloads as reusable, nameable closures — the one
-//! source of truth for the `jns bench` driver that pins the
-//! `BENCH_*.json` baselines.
+//! source of truth for the `jns bench` driver — and the same-run gates
+//! it checks on them.
 //!
 //! Five suites (see [`SUITES`]):
 //!
@@ -16,19 +16,24 @@
 //!   on one J&s program, and the view-change memoisation
 //!   microbenchmarks.
 //! - **`gc`** — the allocation-churn program with the collector off and
-//!   under shrinking live-heap limits, on both backends.
+//!   under shrinking live-heap limits, on both backends, and two
+//!   stop-the-world versus generational ablations: retained-set churn
+//!   (`gc_gen_churn`) and rounds of §7.3 translations kept on a
+//!   long-lived history (`gc_translate`, VM only).
 //! - **`serve`** — whole-batch serving throughput over the worker pool
-//!   (fixed worker counts, so numbers compare across machines with
-//!   different core counts), against the same requests run one fresh VM
-//!   each.
+//!   (fixed worker counts, so every host runs the same work), against
+//!   the same requests run one fresh VM each.
 //! - **`paper`** — the §7 tables at reduced sizes: every Table 1 jolden
 //!   kernel under every strategy, and the Table 2 tree-traversal rows.
 //!
 //! Every workload is deterministic in its *work* (identical instruction
 //! streams run to run); only wall-clock varies, which is what the
-//! `jns-obs` robust statistics are for.
+//! `jns-obs` robust statistics are for. Timings are only ever compared
+//! within one run: a [`Gate`] pairs two arms of one suite, and
+//! [`gates`] declares each suite's gates next to the arms they pair.
 
 use jns_core::{lambda, service, Backend, Compiler, RunConfig};
+use jns_obs::BenchDoc;
 use jns_rt::shared::TreeBench;
 use jns_rt::{MethodId, ObjRef, Runtime, Strategy, Val};
 use jns_serve::{serve_batch, ServeConfig};
@@ -83,6 +88,43 @@ pub fn suite(name: &str) -> Option<Vec<Workload>> {
         "paper" => Some(paper_suite()),
         _ => None,
     }
+}
+
+/// A same-run gate `(fast, slow)`: in one measured run of a suite, the
+/// `fast` arm's median must be below the `slow` arm's (both are entry
+/// names, `workload/backend`). Both arms run in the same process, so a
+/// gate holds or fails on any host; no gate compares one run with another.
+pub type Gate = (&'static str, &'static str);
+
+/// The gates `jns bench` checks on a run of suite `name` (none for an
+/// ungated or unknown suite).
+pub fn gates(name: &str) -> &'static [Gate] {
+    match name {
+        "dispatch" => DISPATCH_GATES,
+        "gc" => GC_GATES,
+        _ => &[],
+    }
+}
+
+/// Checks `gate` on one run's document: whether it held, and a line
+/// reporting both medians and their ratio.
+///
+/// # Errors
+///
+/// Names an arm `doc` lacks: a renamed arm must never turn a gate into
+/// a no-op.
+pub fn check_gate((fast, slow): Gate, doc: &BenchDoc) -> Result<(bool, String), String> {
+    let median = |arm: &str| {
+        let entry = doc.benchmarks.iter().find(|b| b.name == arm);
+        entry
+            .map(|b| b.summary().median)
+            .ok_or_else(|| format!("gate {fast}:{slow}: suite `{}` has no `{arm}`", doc.suite))
+    };
+    let (f, s) = (median(fast)?, median(slow)?);
+    let verdict = if f < s { "gate ok" } else { "gate FAIL" };
+    let ratio = f as f64 / s.max(1) as f64;
+    let line = format!("{verdict:<10} {fast} {f} µs vs {slow} {s} µs ({ratio:.2}×)");
+    Ok((f < s, line))
 }
 
 // ------------------------------------------------------------------- vm
@@ -339,6 +381,14 @@ pub fn vm_dispatch_source(iters: u32) -> String {
 /// on the VM).
 pub const VM_DISPATCH_ITERS: u32 = 4_000;
 
+/// The `dispatch` suite's gates: superinstruction fusion must pay for
+/// itself on the monomorphic loop it exists for, and the VM must stay
+/// the faster backend on the same program.
+const DISPATCH_GATES: &[Gate] = &[
+    ("vm_dispatch/engine", "vm_dispatch/generic"),
+    ("vm_dispatch/engine", "vm_dispatch/treewalk"),
+];
+
 fn dispatch_suite() -> Vec<Workload> {
     let mut out = Vec::new();
     for s in Strategy::ALL {
@@ -469,8 +519,93 @@ pub const GC_GEN_RETAINED: u64 = 2_000;
 /// retained set that stop-the-world collections fire every few dozen
 /// allocations, each re-tracing the whole retained chain.
 pub const GC_GEN_LIMIT: usize = 2_048;
-/// Nursery capacity of the generational `gc_gen_churn` arms.
+/// Nursery capacity of the generational `gc_gen_churn` and
+/// `gc_translate` arms.
 pub const GC_GEN_NURSERY: usize = 32;
+
+/// The `gc` suite's gate: minor collections must pay for themselves on
+/// retained-set churn, the shape a nursery is built for.
+const GC_GATES: &[Gate] = &[("gc_gen_churn/vm_gen", "gc_gen_churn/vm_stw")];
+
+/// Holder classes of the `gc_translate` workload. The `Log` is allocated
+/// first, so the first minor collection tenures it, and every later
+/// `log.head = new hist.Cons {..}` stores a nursery object into it.
+const TRANSLATE_HISTORY: &str = "
+class hist {
+  class Nil { }
+  class Cons extends Nil { str line; Nil next; }
+  class Log { Nil head = new Nil(); int n = 0; }
+}
+";
+/// Distinct terms per round of the `gc_translate` workload.
+const TRANSLATE_TERMS: usize = 12;
+/// Rounds of the `gc_translate` workload; each rebuilds and translates
+/// every term.
+const TRANSLATE_ROUNDS: u32 = 4;
+/// Node budget of one `gc_translate` term.
+const TRANSLATE_NODES: u32 = 14;
+/// Heap limit of the `gc_translate` arms: below what one pass
+/// allocates, so every pass collects.
+const GC_TRANSLATE_LIMIT: usize = 512;
+
+/// A `sumpair` term of at most `budget` nodes: λ nodes (kept in place
+/// by the §7.3 translation) mixed with pair and sum nodes (rebuilt). A
+/// xorshift sequence in `state` picks each node, so the terms are fixed.
+fn sumpair_term(state: &mut u64, budget: u32) -> String {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    let x = *state % 5;
+    let (class, fields): (&str, &[&str]) = match (budget, *state % 9) {
+        (0 | 1, _) => return format!("new sumpair.Var {{ x = \"v{x}\" }}"),
+        (_, 0 | 1) => ("Abs", &["e"]),
+        (_, 2 | 3) => ("App", &["f", "a"]),
+        (_, 4) => ("Pair", &["fst", "snd"]),
+        (_, 5) => ("Fst", &["p"]),
+        (_, 6 | 7) => ("Inj1", &["e"]),
+        _ => ("Case", &["scrut", "onl", "onr"]),
+    };
+    let share = (budget - 1) / fields.len() as u32;
+    let mut inits: Vec<String> = fields
+        .iter()
+        .map(|f| format!("{f} = {}", sumpair_term(state, share)))
+        .collect();
+    if class == "Abs" {
+        inits.insert(0, format!("x = \"v{x}\""));
+    }
+    format!("new sumpair.{class} {{ {} }}", inits.join(", "))
+}
+
+/// The J&s source of the `gc_translate` workload, in the shape of one
+/// served λ-compiler request: rounds of `sumpair` terms, each built,
+/// translated in place to `base` (garbage afterwards) and its rendering
+/// appended to a long-lived history. Prints the translator's counters.
+fn translate_source() -> String {
+    let mut state = 0x5EA5_0FF0_0D00_u64;
+    let mut body = String::new();
+    for i in 0..TRANSLATE_TERMS {
+        let t = sumpair_term(&mut state, TRANSLATE_NODES);
+        body.push_str(&format!(
+            "
+          final sumpair!.Exp t{i} = {t};
+          final base!.Exp o{i} = t{i}.translate(tr);
+          final str s{i} = o{i}.show();
+          log.head = new hist.Cons {{ line = s{i}, next = log.head }};"
+        ));
+    }
+    let main = format!(
+        "
+        final hist!.Log log = new hist.Log();
+        final sumpair!.Translator tr = new sumpair.Translator();
+        while (log.n < {TRANSLATE_ROUNDS}) {{{body}
+          log.n = log.n + 1;
+        }}
+        print tr.rebuilt;
+        print tr.reusedAbs;
+        print tr.reusedApp;"
+    );
+    format!("{TRANSLATE_HISTORY}{}", lambda::program(&main))
+}
 
 fn gc_suite() -> Vec<Workload> {
     let src = churn_program(CHURN);
@@ -532,13 +667,49 @@ fn gc_suite() -> Vec<Workload> {
             ));
         }
     }
+    // The same ablation on translation requests. Ungated: on this shape
+    // minor collections promote nearly everything they trace.
+    let translate_src = translate_source();
+    // Each arm must print what the tree-walker prints with no collector.
+    let want = Compiler::new()
+        .compile(&translate_src)
+        .expect("translate workload typechecks")
+        .run()
+        .expect("translate workload runs")
+        .output;
+    for (mode, nursery) in [("stw", None), ("gen", Some(GC_GEN_NURSERY))] {
+        let compiled = Compiler::new()
+            .with_backend(Backend::Vm)
+            .with_config(RunConfig {
+                heap_limit: Some(GC_TRANSLATE_LIMIT),
+                nursery,
+                ..RunConfig::default()
+            })
+            .compile(&translate_src)
+            .expect("translate workload typechecks");
+        compiled.bytecode();
+        let want = want.clone();
+        let generational = nursery.is_some();
+        out.push(Workload::new(
+            "gc_translate",
+            &format!("vm_{mode}"),
+            Box::new(move || {
+                let r = compiled.run().expect("translate workload runs");
+                assert_eq!(r.output, want);
+                assert!(r.stats.gc_runs > 0);
+                if generational {
+                    assert!(r.stats.minor_runs > 0 && r.stats.barrier_hits > 0);
+                }
+            }),
+        ));
+    }
     out
 }
 
 // ---------------------------------------------------------------- serve
 
-/// Worker count the serve suite pins (fixed so baselines compare across
-/// machines with different core counts).
+/// Worker count of the serve suite's pooled arm (fixed, so every host
+/// runs the same work whatever its core count).
 pub const SERVE_WORKERS: usize = 4;
 /// Requests per timed batch in the serve suite.
 pub const SERVE_REQUESTS: u64 = 64;
@@ -664,8 +835,56 @@ mod tests {
             names.sort_unstable();
             names.dedup();
             assert_eq!(names.len(), ws.len(), "duplicate names in suite {s}");
+            for &(fast, slow) in gates(s) {
+                for arm in [fast, slow] {
+                    assert!(names.contains(&arm), "gate {fast}:{slow}: no {arm} in {s}");
+                }
+            }
         }
         assert!(suite("nope").is_none());
+        assert!(gates("nope").is_empty());
+    }
+
+    #[test]
+    fn a_gate_holds_only_when_its_fast_arm_is_faster() {
+        let mut doc = BenchDoc::new("dispatch", 3, 0);
+        for (name, samples) in [("a/fast", [100, 101, 99]), ("a/slow", [200, 201, 199])] {
+            doc.benchmarks.push(jns_obs::BenchEntry {
+                name: name.into(),
+                unit: "us",
+                workload: "a".into(),
+                backend: "vm".into(),
+                samples: samples.to_vec(),
+            });
+        }
+        let held = |gate| check_gate(gate, &doc).map(|(held, _)| held);
+        assert_eq!(held(("a/fast", "a/slow")), Ok(true));
+        assert_eq!(
+            held(("a/slow", "a/fast")),
+            Ok(false),
+            "a swapped pair fails"
+        );
+        assert_eq!(held(("a/fast", "a/fast")), Ok(false), "a tie fails");
+        assert!(
+            held(("a/fast", "a/nope")).is_err(),
+            "a missing arm is an error"
+        );
+        assert!(held(("a/nope", "a/slow")).is_err());
+        let (_, line) = check_gate(("a/fast", "a/slow"), &doc).unwrap();
+        assert_eq!(line, "gate ok    a/fast 100 µs vs a/slow 200 µs (0.50×)");
+    }
+
+    #[test]
+    fn every_gc_translate_arm_runs() {
+        let arms: Vec<Workload> = suite("gc")
+            .expect("gc suite")
+            .into_iter()
+            .filter(|w| w.workload == "gc_translate")
+            .collect();
+        assert_eq!(arms.len(), 2);
+        for mut w in arms {
+            w.run_once();
+        }
     }
 
     #[test]

@@ -224,12 +224,6 @@ impl Hosts {
                 .call(node, M_STORE, &[Val::Int(key as i64), Val::Int(popularity)]);
         }
     }
-
-    /// Total cache hits recorded across nodes.
-    pub fn total_hits(&mut self) -> i64 {
-        let nodes = self.nodes.clone();
-        nodes.iter().map(|&n| self.rt.get(n, "hits").int()).sum()
-    }
 }
 
 #[cfg(test)]

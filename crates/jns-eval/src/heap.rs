@@ -333,13 +333,6 @@ impl Heap {
         reclaimed
     }
 
-    /// Whether the next allocation should first collect. This is the
-    /// *major* (live-count) trigger only; generational callers should
-    /// ask [`Heap::pending_collection`] instead.
-    pub fn should_collect(&self) -> bool {
-        self.limit.is_some() && self.objs.len() >= self.next_gc
-    }
-
     /// Which collection, if any, the next allocation should run first.
     /// The major trigger wins (it is what bounds `peak_live ≤ limit` —
     /// a minor collection never grows the heap, so checking it second
@@ -683,7 +676,7 @@ mod tests {
         for _ in 0..3 {
             h.alloc(0);
         }
-        assert!(h.should_collect());
+        assert_eq!(h.pending_collection(), Some(GcKind::Major));
         h.collect(|visit| roots.iter_mut().for_each(&mut *visit));
         assert_eq!(h.len(), 7);
         // 7 survivors fit under the limit of 10: the trigger re-arms at
@@ -691,35 +684,39 @@ mod tests {
         // `peak_live <= limit` that tests/gc.rs asserts).
         for _ in 0..2 {
             h.alloc(0);
-            assert!(!h.should_collect());
+            assert_eq!(h.pending_collection(), None);
         }
         h.alloc(0);
-        assert!(h.should_collect());
+        assert_eq!(h.pending_collection(), Some(GcKind::Major));
         h.collect(|visit| roots.iter_mut().for_each(&mut *visit));
         assert_eq!(h.gc_stats().peak_live, 10);
         // An all-live heap instead doubles the trigger (no thrash).
         roots.extend((0..3).map(|_| rv(h.alloc(0))));
-        assert!(h.should_collect());
+        assert_eq!(h.pending_collection(), Some(GcKind::Major));
         h.collect(|visit| roots.iter_mut().for_each(&mut *visit));
         assert_eq!(h.len(), 10);
-        assert!(!h.should_collect());
+        assert_eq!(h.pending_collection(), None);
         for _ in 0..9 {
             h.alloc(0);
-            assert!(!h.should_collect());
+            assert_eq!(h.pending_collection(), None);
         }
         h.alloc(0);
-        assert!(h.should_collect(), "trigger doubled to 2x the live size");
+        assert_eq!(
+            h.pending_collection(),
+            Some(GcKind::Major),
+            "trigger doubled to 2x the live size"
+        );
     }
 
     #[test]
     fn limit_gates_should_collect_and_reset_clears_counters() {
         let mut h = Heap::new();
-        assert!(!h.should_collect());
+        assert_eq!(h.pending_collection(), None);
         h.set_limit(Some(2));
         h.alloc(0);
-        assert!(!h.should_collect());
+        assert_eq!(h.pending_collection(), None);
         h.alloc(0);
-        assert!(h.should_collect());
+        assert_eq!(h.pending_collection(), Some(GcKind::Major));
         assert_eq!(h.gc_stats().peak_live, 2);
         assert_eq!(h.reset(), 2);
         assert!(h.is_empty());

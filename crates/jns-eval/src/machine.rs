@@ -492,11 +492,6 @@ impl<'p> Machine<'p> {
         self.eval_root(main)
     }
 
-    /// Evaluates an arbitrary expression in an empty frame (for tests).
-    pub fn eval_expr(&mut self, e: &CExpr) -> Result<Value, RtError> {
-        self.eval_root(e)
-    }
-
     /// Evaluates `e` from a fresh frame on fresh control/value stacks,
     /// restoring the shared depth counter on error so the machine stays
     /// reusable after a failure.

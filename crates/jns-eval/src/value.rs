@@ -83,14 +83,6 @@ impl Value {
         }
     }
 
-    /// The integer value, if this is an int.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The boolean value, if this is a bool.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

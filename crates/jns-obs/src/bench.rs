@@ -1,6 +1,5 @@
-//! The `jns-bench/2` benchmark-trajectory schema: versioned JSON
-//! documents that pin a suite of measured workloads, plus the
-//! document-level comparison the CI regression gate runs.
+//! The `jns-bench/2` benchmark schema: versioned JSON documents that
+//! record one run of a suite of measured workloads.
 //!
 //! Schema (`jns-bench/2`):
 //!
@@ -21,17 +20,16 @@
 //!
 //! Every benchmark carries its raw per-run samples (lower is better;
 //! the unit is the entry's convention, `"us"` throughout the repo), so a
-//! comparison recomputes the robust statistics instead of trusting the
+//! reader can recompute the robust statistics instead of trusting the
 //! producer.
 
 use crate::json::Json;
-use crate::stats::{self, Summary, Tolerance, Verdict};
+use crate::stats::Summary;
 
-/// Schema identifier stamped on every trajectory document.
+/// Schema identifier stamped on every suite document.
 pub const BENCH_SCHEMA: &str = "jns-bench/2";
 
-/// Where a suite was measured — enough context to judge whether two
-/// documents are comparable at all.
+/// Where a suite was measured.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchEnv {
     /// Operating system (`std::env::consts::OS`).
@@ -71,8 +69,8 @@ impl BenchEnv {
 /// and its per-run samples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchEntry {
-    /// Stable benchmark id, `workload/variant` by convention — the key
-    /// the comparison matches on.
+    /// Stable benchmark id, `workload/variant` by convention — the name
+    /// a same-run gate refers to.
     pub name: String,
     /// Sample unit (`"us"` for wall-clock microseconds).
     pub unit: &'static str,
@@ -108,7 +106,7 @@ impl BenchEntry {
     }
 }
 
-/// One suite's trajectory document.
+/// One suite's document: one run of every benchmark in the suite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchDoc {
     /// Suite id (`"vm"`, `"dispatch"`, `"gc"`, `"serve"`, `"paper"`).
@@ -220,114 +218,6 @@ pub fn validate_bench(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// One benchmark's comparison row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareLine {
-    /// Benchmark name (the matching key).
-    pub name: String,
-    /// Baseline summary, recomputed from the old document's samples.
-    pub old: Summary,
-    /// New summary, recomputed from the new document's samples.
-    pub new: Summary,
-    /// Median delta as a signed fraction of the old median
-    /// (`0.10` = 10% slower).
-    pub delta_frac: f64,
-    /// The tolerance-aware verdict.
-    pub verdict: Verdict,
-}
-
-/// The outcome of comparing two `jns-bench/2` documents.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CompareReport {
-    /// One row per benchmark present in both documents, in the new
-    /// document's order.
-    pub lines: Vec<CompareLine>,
-    /// Benchmarks only in the baseline (removed or renamed).
-    pub missing_in_new: Vec<String>,
-    /// Benchmarks only in the new document (added).
-    pub added_in_new: Vec<String>,
-}
-
-impl CompareReport {
-    /// How many compared benchmarks regressed.
-    pub fn regressions(&self) -> usize {
-        self.lines
-            .iter()
-            .filter(|l| l.verdict == Verdict::Regressed)
-            .count()
-    }
-}
-
-/// Extracts `(name, samples)` pairs from a validated document.
-fn entries(doc: &Json) -> Result<Vec<(String, Vec<u64>)>, String> {
-    let benches = doc
-        .get("benchmarks")
-        .and_then(Json::as_arr)
-        .ok_or("missing `benchmarks` array")?;
-    benches
-        .iter()
-        .map(|b| {
-            let name = b
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("benchmark entry without `name`")?
-                .to_string();
-            let samples = b
-                .get("samples")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("benchmark `{name}` without `samples`"))?
-                .iter()
-                .map(|s| s.as_u64().ok_or_else(|| format!("`{name}`: bad sample")))
-                .collect::<Result<Vec<u64>, String>>()?;
-            Ok((name, samples))
-        })
-        .collect()
-}
-
-/// Compares two parsed `jns-bench/2` documents benchmark by benchmark
-/// (matched on `name`; statistics recomputed from raw samples).
-///
-/// # Errors
-///
-/// Returns the first schema violation of either document — callers must
-/// treat that differently from a regression (a broken artifact fails
-/// CI even when the gate itself is warn-only).
-pub fn compare_docs(old: &Json, new: &Json, tol: &Tolerance) -> Result<CompareReport, String> {
-    validate_bench(old).map_err(|e| format!("baseline: {e}"))?;
-    validate_bench(new).map_err(|e| format!("new: {e}"))?;
-    let old_entries = entries(old)?;
-    let new_entries = entries(new)?;
-    let mut report = CompareReport::default();
-    for (name, new_samples) in &new_entries {
-        match old_entries.iter().find(|(n, _)| n == name) {
-            Some((_, old_samples)) => {
-                let old_s = Summary::of(old_samples.clone());
-                let new_s = Summary::of(new_samples.clone());
-                let verdict = stats::compare(&old_s, &new_s, tol);
-                let delta_frac = if old_s.median > 0 {
-                    (new_s.median as f64 - old_s.median as f64) / old_s.median as f64
-                } else {
-                    0.0
-                };
-                report.lines.push(CompareLine {
-                    name: name.clone(),
-                    old: old_s,
-                    new: new_s,
-                    delta_frac,
-                    verdict,
-                });
-            }
-            None => report.added_in_new.push(name.clone()),
-        }
-    }
-    for (name, _) in &old_entries {
-        if !new_entries.iter().any(|(n, _)| n == name) {
-            report.missing_in_new.push(name.clone());
-        }
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,62 +254,5 @@ mod tests {
         assert!(validate_bench(&v1).is_err());
         let empty = parse(&BenchDoc::new("vm", 3, 1).to_json()).unwrap();
         assert!(validate_bench(&empty).is_err());
-    }
-
-    #[test]
-    fn compare_detects_synthetic_regression_and_ignores_noise() {
-        let tol = Tolerance {
-            frac: 0.25,
-            mad_sigmas: 4.0,
-            abs_floor_us: 10,
-        };
-        let base = parse(&doc_with(&[1000, 1010, 990, 1000, 1005])).unwrap();
-        let wobble = parse(&doc_with(&[1100, 1110, 1090, 1100, 1105])).unwrap();
-        let slow = parse(&doc_with(&[3000, 3030, 2970, 3000, 3015])).unwrap();
-
-        let ok = compare_docs(&base, &wobble, &tol).unwrap();
-        assert_eq!(ok.regressions(), 0);
-        assert_eq!(ok.lines[0].verdict, Verdict::Unchanged);
-
-        let bad = compare_docs(&base, &slow, &tol).unwrap();
-        assert_eq!(bad.regressions(), 1);
-        assert_eq!(bad.lines[0].verdict, Verdict::Regressed);
-        assert!(bad.lines[0].delta_frac > 1.9, "delta is ~2x");
-    }
-
-    #[test]
-    fn compare_reports_membership_changes() {
-        let tol = Tolerance::default();
-        let mut old = BenchDoc::new("vm", 1, 0);
-        old.benchmarks.push(BenchEntry {
-            name: "gone".into(),
-            unit: "us",
-            workload: "w".into(),
-            backend: "vm".into(),
-            samples: vec![10],
-        });
-        let mut new = BenchDoc::new("vm", 1, 0);
-        new.benchmarks.push(BenchEntry {
-            name: "fresh".into(),
-            unit: "us",
-            workload: "w".into(),
-            backend: "vm".into(),
-            samples: vec![10],
-        });
-        let old = parse(&old.to_json()).unwrap();
-        let new = parse(&new.to_json()).unwrap();
-        let r = compare_docs(&old, &new, &tol).unwrap();
-        assert_eq!(r.missing_in_new, vec!["gone".to_string()]);
-        assert_eq!(r.added_in_new, vec!["fresh".to_string()]);
-        assert!(r.lines.is_empty());
-    }
-
-    #[test]
-    fn compare_rejects_malformed_documents() {
-        let tol = Tolerance::default();
-        let good = parse(&doc_with(&[10])).unwrap();
-        let bad = parse(r#"{"schema":"jns-bench/2"}"#).unwrap();
-        assert!(compare_docs(&bad, &good, &tol).is_err());
-        assert!(compare_docs(&good, &bad, &tol).is_err());
     }
 }

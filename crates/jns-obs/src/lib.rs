@@ -22,13 +22,12 @@
 //! - **[`RunProfile`]** — stable-schema (`jns-profile/1`) machine-readable
 //!   profile export: flat counters, per-chunk instruction counts, per-site
 //!   IC hit/miss attribution, histograms, and (optionally) the sampling
-//!   profiler's collapsed stacks, for offline analysis and the bench
-//!   trajectory.
-//! - **[`stats`] / [`bench`]** — the measurement discipline behind the
-//!   performance trajectory: repeated-run sampling with warmup, robust
-//!   median/min/MAD summaries, a noise-tolerant baseline comparator, and
-//!   the versioned `jns-bench/2` suite documents (`BENCH_*.json`) the CI
-//!   regression gate compares.
+//!   profiler's collapsed stacks, for offline analysis.
+//! - **[`stats`] / [`bench`]** — the measurement discipline behind
+//!   `jns bench`: repeated-run sampling with warmup, robust
+//!   median/min/MAD summaries, and the versioned `jns-bench/2` document
+//!   each measured suite is written to, whose medians the suite's
+//!   same-run gates compare.
 //!
 //! The [`json`] module is the self-contained writer/parser backing the
 //! schemas (and the `obs-check` CI validator).
@@ -42,14 +41,14 @@ pub mod profile;
 pub mod stats;
 pub mod trace;
 
-pub use bench::{compare_docs, validate_bench, BenchDoc, BenchEntry, BenchEnv, BENCH_SCHEMA};
+pub use bench::{validate_bench, BenchDoc, BenchEntry, BenchEnv, BENCH_SCHEMA};
 pub use hist::Histogram;
 pub use json::Json;
 pub use profile::{
     folded_lines, validate_folded, validate_profile, IcSiteProfile, ProfileSamples, RunProfile,
     PROFILE_SCHEMA,
 };
-pub use stats::{compare, mad, median, sample_us, SampleConfig, Summary, Tolerance, Verdict};
+pub use stats::{mad, median, sample_us, SampleConfig, Summary};
 pub use trace::{
     jsonl, merge_events, IcKind, TimedEvent, TraceBuffer, TraceEvent, DEFAULT_TRACE_CAP,
     TRACE_SCHEMA,

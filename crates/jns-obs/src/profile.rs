@@ -5,7 +5,7 @@
 //! instruction counts, per-site inline-cache hit/miss attribution, and
 //! any latency histograms the producing layer collected. The JSON layout
 //! is versioned ([`PROFILE_SCHEMA`]) and key order is stable, so offline
-//! tools and the bench trajectory can parse profiles from older commits.
+//! tools can parse profiles from older commits.
 //!
 //! Schema (`jns-profile/1`):
 //!

@@ -1,20 +1,20 @@
-//! Robust summary statistics and repeated-run sampling for the bench
-//! trajectory.
+//! Robust summary statistics and repeated-run sampling for `jns bench`.
 //!
 //! Benchmark numbers from shared CI runners are noisy; a single timed
-//! pass is worthless as a regression signal. This module provides the
-//! measurement discipline of the `jns bench` driver:
+//! pass says little. This module provides the measurement discipline of
+//! the `jns bench` driver:
 //!
 //! - [`sample_us`] — run a workload `warmup` times unmeasured (to fill
 //!   inline caches, lazy tables, and the allocator), then `runs` times
 //!   measured, returning per-run wall-clock microseconds.
 //! - [`median`] / [`min`] / [`mad`] — order statistics that ignore
-//!   outliers: the median is the pinned number, the MAD (median absolute
-//!   deviation) is the noise scale.
-//! - [`compare`] — a "changed vs baseline" verdict that only calls a
-//!   difference real when it exceeds *both* a relative tolerance band
-//!   and a multiple of the observed noise, so one descheduled run
-//!   cannot fail CI.
+//!   outliers: the median is the reported number (and what a same-run
+//!   gate compares), the MAD (median absolute deviation) is the noise
+//!   scale.
+//!
+//! Nothing here compares one run with another: five samples per run
+//! cannot support a cross-run verdict on a shared host, so performance
+//! claims pair two arms measured in the same run.
 
 use std::time::Instant;
 
@@ -27,12 +27,6 @@ pub struct SampleConfig {
     pub warmup: u32,
     /// Measured passes; each contributes one sample.
     pub runs: u32,
-}
-
-impl Default for SampleConfig {
-    fn default() -> Self {
-        SampleConfig { warmup: 1, runs: 5 }
-    }
 }
 
 /// Runs `f` `cfg.warmup` times unmeasured, then `cfg.runs` times
@@ -89,12 +83,12 @@ pub fn mad(xs: &[u64]) -> u64 {
 }
 
 /// A benchmark's robust summary: the raw samples plus the three order
-/// statistics the trajectory pins.
+/// statistics a `jns-bench/2` entry records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Summary {
     /// Per-run samples, in run order (microseconds by convention).
     pub samples: Vec<u64>,
-    /// Median sample — the pinned number.
+    /// Median sample — the reported number.
     pub median: u64,
     /// Smallest sample — the "quiet machine" bound.
     pub min: u64,
@@ -112,86 +106,6 @@ impl Summary {
             min: mn,
             mad: md,
         }
-    }
-}
-
-/// How big a difference must be before [`compare`] calls it real.
-///
-/// A change is a regression only when the new median exceeds the old by
-/// more than **all** of: `frac` of the old median, `mad_sigmas` times
-/// the larger MAD, and `abs_floor_us`. The absolute floor stops
-/// microsecond-scale benchmarks from "regressing" by timer jitter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Relative band as a fraction of the old median (0.25 = 25%).
-    pub frac: f64,
-    /// Noise band in MAD multiples (the larger of old/new MAD).
-    pub mad_sigmas: f64,
-    /// Absolute floor, microseconds.
-    pub abs_floor_us: u64,
-}
-
-impl Default for Tolerance {
-    fn default() -> Self {
-        Tolerance {
-            frac: 0.25,
-            mad_sigmas: 4.0,
-            abs_floor_us: 50,
-        }
-    }
-}
-
-impl Tolerance {
-    /// A tolerance with relative band `frac` and default noise handling.
-    pub fn with_frac(frac: f64) -> Self {
-        Tolerance {
-            frac,
-            ..Tolerance::default()
-        }
-    }
-
-    /// The one-sided band around `old` that [`compare`] treats as
-    /// unchanged, given both summaries' noise.
-    fn band(&self, old: &Summary, new: &Summary) -> u64 {
-        let rel = (old.median as f64 * self.frac.max(0.0)) as u64;
-        let noise = (self.mad_sigmas.max(0.0) * old.mad.max(new.mad) as f64) as u64;
-        rel.max(noise).max(self.abs_floor_us)
-    }
-}
-
-/// The outcome of one baseline comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// New median is below the baseline by more than the tolerance band.
-    Improved,
-    /// Within the tolerance band.
-    Unchanged,
-    /// New median exceeds the baseline by more than the tolerance band.
-    Regressed,
-}
-
-impl Verdict {
-    /// Stable lower-case label (`"improved"`, `"unchanged"`,
-    /// `"regressed"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Verdict::Improved => "improved",
-            Verdict::Unchanged => "unchanged",
-            Verdict::Regressed => "regressed",
-        }
-    }
-}
-
-/// Compares a new summary against a baseline: lower is better (samples
-/// are durations). See [`Tolerance`] for what counts as a real change.
-pub fn compare(old: &Summary, new: &Summary, tol: &Tolerance) -> Verdict {
-    let band = tol.band(old, new);
-    if new.median > old.median.saturating_add(band) {
-        Verdict::Regressed
-    } else if old.median > new.median.saturating_add(band) {
-        Verdict::Improved
-    } else {
-        Verdict::Unchanged
     }
 }
 
@@ -221,49 +135,5 @@ mod tests {
         let samples = sample_us(SampleConfig { warmup: 2, runs: 3 }, || calls += 1);
         assert_eq!(samples.len(), 3);
         assert_eq!(calls, 5);
-    }
-
-    #[test]
-    fn compare_flags_only_real_changes() {
-        let tol = Tolerance {
-            frac: 0.25,
-            mad_sigmas: 4.0,
-            abs_floor_us: 10,
-        };
-        let base = Summary::of(vec![1000, 1010, 990, 1000, 1005]);
-        // Within 25%: unchanged.
-        let wobble = Summary::of(vec![1200, 1210, 1190, 1200, 1205]);
-        assert_eq!(compare(&base, &wobble, &tol), Verdict::Unchanged);
-        // Far beyond the band: regressed / improved.
-        let slow = Summary::of(vec![2000, 2010, 1990, 2000, 2005]);
-        assert_eq!(compare(&base, &slow, &tol), Verdict::Regressed);
-        assert_eq!(compare(&slow, &base, &tol), Verdict::Improved);
-    }
-
-    #[test]
-    fn noisy_baselines_widen_the_band() {
-        let tol = Tolerance {
-            frac: 0.05,
-            mad_sigmas: 4.0,
-            abs_floor_us: 1,
-        };
-        // MAD ≈ 300: a +500 shift sits inside 4×MAD even though it is
-        // far past the 5% relative band.
-        let noisy = Summary::of(vec![700, 1300, 1000, 650, 1350]);
-        let shifted = Summary::of(vec![1200, 1800, 1500, 1150, 1850]);
-        assert_eq!(compare(&noisy, &shifted, &tol), Verdict::Unchanged);
-    }
-
-    #[test]
-    fn abs_floor_protects_microbenchmarks() {
-        let tol = Tolerance {
-            frac: 0.1,
-            mad_sigmas: 4.0,
-            abs_floor_us: 50,
-        };
-        // 2µs → 30µs is a 15× "regression" but under the 50µs floor.
-        let tiny = Summary::of(vec![2, 2, 3]);
-        let jitter = Summary::of(vec![30, 28, 31]);
-        assert_eq!(compare(&tiny, &jitter, &tol), Verdict::Unchanged);
     }
 }

@@ -296,11 +296,6 @@ impl Runtime {
         self.classes[sub.0 as usize].supers.contains(&sup)
     }
 
-    /// The number of field slots of a class layout (for tests).
-    pub fn layout_size(&self, class: ClassId) -> usize {
-        self.classes[class.0 as usize].slots.len()
-    }
-
     /// The class name (for diagnostics).
     pub fn class_name(&self, class: ClassId) -> &str {
         &self.classes[class.0 as usize].name

@@ -11,7 +11,6 @@ use crate::model::{ClassId, MethodId, ObjRef, Runtime, Strategy, Val};
 pub struct TreeBench {
     /// The underlying runtime (public so harnesses can read stats).
     pub rt: Runtime,
-    base_fam: u32,
     disp_fam: u32,
     base_node: ClassId,
     disp_node: ClassId,
@@ -60,7 +59,6 @@ impl TreeBench {
         assert_eq!(m_sum, MID_SUM, "sum must be the first interned selector");
         TreeBench {
             rt,
-            base_fam,
             disp_fam,
             base_node,
             disp_node,
@@ -118,16 +116,6 @@ impl TreeBench {
     /// Number of nodes in a complete tree of the given height.
     pub fn node_count(height: u32) -> u64 {
         (1u64 << (height + 1)) - 1
-    }
-
-    /// The base family tag.
-    pub fn base_family(&self) -> u32 {
-        self.base_fam
-    }
-
-    /// The display family tag.
-    pub fn display_family(&self) -> u32 {
-        self.disp_fam
     }
 }
 

@@ -66,15 +66,6 @@ pub struct ServeConfig {
     /// peak_live}` report it). This bounds worker memory against a single
     /// adversarial giant request — the per-request region reset only
     /// protects *across* requests. `None` disables intra-request GC.
-    ///
-    /// With a limit set, each worker additionally **auto-sizes** its own
-    /// effective limit from an EWMA of the `peak_live` it observes per
-    /// request, clamped to this global value — so on mixed workloads a
-    /// worker serving small requests keeps a right-sized region instead
-    /// of the global worst case, while heavy requests walk the EWMA (and
-    /// the effective limit) back up toward the global bound. The chosen
-    /// per-worker limits surface in
-    /// [`PoolTelemetry::worker_heap_limits`].
     pub heap_limit: Option<usize>,
     /// Optional nursery capacity for generational collection on the
     /// worker VMs (effective only alongside [`ServeConfig::heap_limit`]):
@@ -273,31 +264,6 @@ impl RequestQueue {
 
 // ----------------------------------------------------------------- pool
 
-/// Smoothing factor for the per-worker `peak_live` EWMA the heap
-/// auto-sizer runs on (weight of the newest request's observation).
-const AUTO_SIZE_ALPHA: f64 = 0.3;
-/// Headroom multiplier over the smoothed peak when choosing a worker's
-/// effective heap limit, so ordinary jitter does not trigger extra
-/// collections.
-const AUTO_SIZE_HEADROOM: f64 = 1.5;
-/// Lower bound for an auto-sized effective heap limit (never squeezed
-/// below this, even after a run of near-empty requests).
-const AUTO_SIZE_FLOOR: usize = 16;
-
-/// One step of the per-worker heap auto-sizer: folds this request's
-/// observed `peak_live` into the EWMA and returns the new effective
-/// limit, clamped between [`AUTO_SIZE_FLOOR`] and the global limit.
-fn auto_size_step(ewma: &mut Option<f64>, peak_live: u64, global: usize) -> usize {
-    let peak = peak_live as f64;
-    let e = match *ewma {
-        Some(e) => AUTO_SIZE_ALPHA * peak + (1.0 - AUTO_SIZE_ALPHA) * e,
-        None => peak,
-    };
-    *ewma = Some(e);
-    let want = (e * AUTO_SIZE_HEADROOM).ceil() as usize;
-    want.max(AUTO_SIZE_FLOOR).min(global)
-}
-
 /// A running worker pool over one compiled program.
 ///
 /// Workers are spawned eagerly; each owns a cloned [`SharedProgram`]
@@ -326,8 +292,7 @@ struct WorkerTelemetry {
     /// Collapsed sampling-profiler stacks, when sampling was on.
     sample_stacks: Vec<(String, u64)>,
     samples_taken: u64,
-    /// The effective heap limit the auto-sizer had settled on when the
-    /// worker exited (`None` when running without a heap limit).
+    /// The worker VM's heap limit (`None` when running without one).
     heap_limit: Option<usize>,
 }
 
@@ -372,9 +337,6 @@ impl Pool {
                         vm.set_sample_stride(s);
                     }
                     let mut tele = WorkerTelemetry::default();
-                    // Per-worker heap auto-sizing state (see
-                    // `ServeConfig::heap_limit`).
-                    let mut peak_ewma: Option<f64> = None;
                     while let Some((req, enqueued)) = queue.pop() {
                         let queue_us = enqueued.elapsed().as_micros() as u64;
                         if let Some(t) = vm.trace_mut() {
@@ -398,14 +360,6 @@ impl Pool {
                         tele.queue_wait.record(queue_us);
                         tele.exec.record(exec_us);
                         tele.requests += 1;
-                        if let Some(global) = run.heap_limit {
-                            // Auto-size this worker's region for the next
-                            // request from the traffic it has seen. GC
-                            // timing never changes outputs, so this only
-                            // moves cost, not behaviour.
-                            let eff = auto_size_step(&mut peak_ewma, vm.stats.peak_live, global);
-                            vm.set_heap_limit(Some(eff));
-                        }
                         let resp = Response {
                             id: req.id,
                             worker: w,
@@ -524,10 +478,9 @@ pub struct PoolTelemetry {
     pub exec: Histogram,
     /// Requests executed per worker, indexed by worker id.
     pub worker_requests: Vec<u64>,
-    /// Each worker's effective heap limit at exit — where the
-    /// per-worker auto-sizer settled after clamping its `peak_live`
-    /// EWMA to the global [`ServeConfig::heap_limit`] (`None` per entry
-    /// when the pool ran without a limit). Indexed by worker id.
+    /// Each worker's heap limit, the configured
+    /// [`ServeConfig::heap_limit`] (`None` per entry when the pool ran
+    /// without a limit). Indexed by worker id.
     pub worker_heap_limits: Vec<Option<usize>>,
     /// Most requests ever waiting in the bounded queue at once.
     pub queue_high_water: usize,

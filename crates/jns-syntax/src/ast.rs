@@ -16,16 +16,6 @@ pub struct Ident {
     pub span: Span,
 }
 
-impl Ident {
-    /// Creates an identifier with a dummy span (for synthesised nodes).
-    pub fn synth(text: impl Into<String>) -> Self {
-        Ident {
-            text: text.into(),
-            span: Span::dummy(),
-        }
-    }
-}
-
 impl fmt::Display for Ident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.text)
@@ -147,7 +137,8 @@ pub struct SharingConstraint {
     pub span: Span,
 }
 
-/// Primitive types (an extension over the calculus; see DESIGN.md §3).
+/// Primitive types: an extension over the calculus, which has only class
+/// types, because the paper's examples compute with numbers and strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PrimTy {
     /// 64-bit signed integer.

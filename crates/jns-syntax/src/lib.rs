@@ -5,8 +5,9 @@
 //!
 //! The surface language is the calculus of the paper (Fig. 8) plus the
 //! conveniences needed to write the paper's own examples: primitives,
-//! blocks, `if`/`while`, record-style `new`, and `print`. See `DESIGN.md`
-//! at the repository root for the exact scope.
+//! blocks, `if`/`while`, record-style `new`, and `print`. Each extension
+//! is there only because an example needs it; none adds a class-level
+//! construct, so families, sharing and views are the calculus's own.
 //!
 //! # Examples
 //!
@@ -25,7 +26,6 @@
 pub mod ast;
 pub mod lexer;
 pub mod parser;
-pub mod pretty;
 pub mod span;
 pub mod token;
 

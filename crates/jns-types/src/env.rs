@@ -85,11 +85,6 @@ impl TypeEnv {
             }
         }
     }
-
-    /// Iterates over the variable bindings.
-    pub fn iter_vars(&self) -> impl Iterator<Item = (&Name, &Type)> {
-        self.vars.iter()
-    }
 }
 
 #[cfg(test)]

@@ -358,11 +358,6 @@ impl<'a> Judge<'a> {
         Ok(r)
     }
 
-    /// Substitution on masked types.
-    pub fn subst_type(&self, t: &Type, x: Name, tx: &Ty) -> JResult<Type> {
-        Ok(self.subst(&t.ty, x, tx)?.with_masks(t.masks.clone()))
-    }
-
     // ---------------------------------------------------------- subtyping
 
     /// `Γ ⊢ T1 ≤ T2` on masked types: mask sets may only grow.
@@ -586,8 +581,9 @@ impl<'a> Judge<'a> {
                         let whole = Nested(Box::new(s0.clone()), *cs);
                         // Own extends plus reinterpreted inherited ones.
                         for ext in &self.table.all_extends(pc) {
-                            // Prefer exactness-preserving substitution, fall
-                            // back to plain (see DESIGN.md §6).
+                            // S-SUP needs a supertype, not family identity,
+                            // so when the exactness-preserving substitution
+                            // fails, the plain one is still a sound step.
                             let subbed = self
                                 .subst_exact(ext, self.table.this_name, &whole)
                                 .or_else(|_| self.subst(ext, self.table.this_name, &whole));

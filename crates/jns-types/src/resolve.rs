@@ -390,7 +390,8 @@ fn resolve_name(
                     first,
                 ));
             } else if encl != ClassId::ROOT {
-                // Two levels out are not supported (see DESIGN.md §3).
+                // Two levels out are not resolved: no paper example needs
+                // it, and a qualified name always works, as the error says.
                 if let Some(encl2) = table.parent(encl) {
                     if encl2 != ClassId::ROOT && table.member(encl2, first).is_some() {
                         return Err(TypeError {

@@ -51,7 +51,7 @@ impl TPath {
 /// A pure type `PT` (no masks).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Ty {
-    /// A primitive type (extension; see DESIGN.md).
+    /// A primitive type (an extension: the calculus has only class types).
     Prim(PrimTy),
     /// A fully resolved class `P` (absolute path from `◦`).
     Class(ClassId),

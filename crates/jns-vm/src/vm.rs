@@ -351,13 +351,6 @@ impl<'p> Vm<'p> {
         self
     }
 
-    /// Re-points the live-heap threshold on a warm VM (`None` disables
-    /// collection). The serving layer's per-worker auto-sizer calls this
-    /// between requests; the heap keeps its other configuration.
-    pub fn set_heap_limit(&mut self, limit: Option<usize>) {
-        self.heap.set_limit(limit);
-    }
-
     /// The currently configured live-heap threshold.
     pub fn heap_limit(&self) -> Option<usize> {
         self.heap.limit()

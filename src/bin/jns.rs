@@ -40,25 +40,20 @@
 //!       are every `jns run` flag but `--vm`, parsed by the same code
 //!       into the same `jns_core::RunConfig`: the heap resets per
 //!       request, and with `--heap-limit` each worker also collects
-//!       *within* a request and auto-sizes its effective limit from the
-//!       peak live heap it observes; `--stats` adds latency
-//!       percentiles, per-worker effective heap limits, and
+//!       *within* a request; `--stats` adds latency percentiles and
 //!       queue back-pressure gauges, `--trace` merges every worker's
 //!       event buffer into one JSONL stream, `--profile-json` exports
 //!       aggregate counters plus queue-wait/exec histograms
 //!   jns bench [--suite NAME]… [--repeat N] [--warmup N] [--out-dir DIR]
-//!       the performance-trajectory driver: runs the benchmark suites
-//!       (`vm`, `dispatch`, `gc`, `serve`, `paper` — all five by
-//!       default) with warmup passes and repeated measured runs, and
-//!       writes one `jns-bench/2` document per suite
-//!       (`BENCH_<suite>.json`)
-//!   jns bench --compare OLD.json NEW.json [--frac F] [--gate FAST:SLOW]...
-//!       compares two `jns-bench/2` documents with the noise-tolerant
-//!       comparator (relative band `--frac`, default 0.25, widened by
-//!       the observed MAD); exit 0 = within tolerance, 2 = regression,
-//!       3 = a `--gate`d FAST benchmark's median is not below SLOW's in
-//!       NEW (hard CI failure), 1 = malformed document, unknown gate
-//!       name or I/O error
+//!       the bench driver: runs the benchmark suites (`vm`, `dispatch`,
+//!       `gc`, `serve`, `paper` — all five by default) with warmup
+//!       passes and repeated measured runs, writes one `jns-bench/2`
+//!       document per suite (`DIR/BENCH_<suite>.json`, DIR defaulting to
+//!       `target/bench`), then checks each measured suite's same-run
+//!       gates (`bench::workloads::gates`) and prints one line per gate;
+//!       exit 0 = every gate held, 3 = a gate's fast arm was not faster
+//!       than its slow arm, 1 = bad arguments, I/O error or a gate
+//!       naming an arm its suite did not produce
 //!   jns trace-report <file.jsonl>
 //!       analyzes a `--trace` JSONL stream: phase timings, request
 //!       latency table, GC pauses, the top inline-cache-miss sites, and
@@ -67,8 +62,8 @@
 
 use jns_core::{Backend, Compiler, RunConfig, RunOptions, RunOutput};
 use jns_obs::{
-    BenchDoc, BenchEntry, Histogram, Json, RunProfile, SampleConfig, TimedEvent, Tolerance,
-    TraceBuffer, TraceEvent,
+    BenchDoc, BenchEntry, Histogram, Json, RunProfile, SampleConfig, TimedEvent, TraceBuffer,
+    TraceEvent,
 };
 use jns_serve::{serve_batch, ServeConfig};
 use std::process::ExitCode;
@@ -84,7 +79,6 @@ fn usage() -> ExitCode {
          \x20      jns check [--stats] <file.jns>\n\
          \x20      jns serve [--workers N] [--requests N] [--queue N] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--stats] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
          \x20      jns bench [--suite NAME]... [--repeat N] [--warmup N] [--out-dir DIR]\n\
-         \x20      jns bench --compare OLD.json NEW.json [--frac F] [--gate FAST:SLOW]...\n\
          \x20      jns trace-report <file.jsonl>"
     );
     ExitCode::FAILURE
@@ -492,19 +486,6 @@ fn report_serve(report: &jns_serve::ServeReport, show_stats: bool) {
         );
         let per_worker: Vec<String> = t.worker_requests.iter().map(u64::to_string).collect();
         eprintln!("per-worker requests: [{}]", per_worker.join(", "));
-        // The auto-sizer's chosen per-worker effective heap limits (see
-        // ServeConfig::heap_limit) — observable, not silent.
-        if t.worker_heap_limits.iter().any(Option::is_some) {
-            let limits: Vec<String> = t
-                .worker_heap_limits
-                .iter()
-                .map(|l| l.map_or("-".to_string(), |n| n.to_string()))
-                .collect();
-            eprintln!(
-                "per-worker effective heap limit (auto-sized): [{}]",
-                limits.join(", ")
-            );
-        }
         if t.trace_dropped > 0 {
             eprintln!(
                 "warning: {} trace events dropped (per-worker ring buffers filled; \
@@ -605,135 +586,11 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
     }
 }
 
-/// Reads and parses one JSON document, mapping failures to exit code 1
-/// (a broken artifact, distinct from a regression's exit code 2).
-fn read_json(path: &str) -> Result<Json, ExitCode> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        ExitCode::FAILURE
-    })?;
-    jns_obs::json::parse(text.trim()).map_err(|e| {
-        eprintln!("error: {path}: {e}");
-        ExitCode::FAILURE
-    })
-}
-
-/// `jns bench --compare OLD NEW [--frac F] [--gate FAST:SLOW]...`: the
-/// regression gate. Exit 0 = within tolerance, 1 = unreadable/malformed
-/// document or a gate naming a benchmark either document lacks, 2 = at
-/// least one benchmark regressed beyond tolerance, 3 = a gate failed:
-/// FAST's median is not below SLOW's in NEW (a hard CI failure even
-/// where plain regressions only warn). A gate compares two arms of one
-/// run, so it holds on any host; an absolute regression depends on the
-/// host that pinned OLD.
-fn cmd_bench_compare(mut args: Vec<String>) -> ExitCode {
-    let frac = match take_path(&mut args, "--frac") {
-        Ok(Some(v)) => match v.parse::<f64>() {
-            Ok(f) if f.is_finite() && f >= 0.0 => f,
-            _ => {
-                eprintln!("error: --frac: bad fraction `{v}`");
-                return ExitCode::FAILURE;
-            }
-        },
-        Ok(None) => Tolerance::default().frac,
-        Err(code) => return code,
-    };
-    let mut gates: Vec<(String, String)> = Vec::new();
-    loop {
-        match take_path(&mut args, "--gate") {
-            Ok(Some(g)) => match g.split_once(':') {
-                Some((fast, slow)) => gates.push((fast.to_string(), slow.to_string())),
-                None => {
-                    eprintln!("error: --gate {g}: expected FAST:SLOW");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Ok(None) => break,
-            Err(code) => return code,
-        }
-    }
-    let [_, old_path, new_path] = args.as_slice() else {
-        return usage();
-    };
-    let (old, new) = match (read_json(old_path), read_json(new_path)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let tol = Tolerance::with_frac(frac);
-    let report = match jns_obs::compare_docs(&old, &new, &tol) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for l in &report.lines {
-        eprintln!(
-            "{:<10} {:<44} {:>8} -> {:>8} µs ({:+.1}%, mad {}/{})",
-            l.verdict.as_str(),
-            l.name,
-            l.old.median,
-            l.new.median,
-            100.0 * l.delta_frac,
-            l.old.mad,
-            l.new.mad,
-        );
-    }
-    for name in &report.missing_in_new {
-        eprintln!("missing    {name} (in baseline only)");
-    }
-    for name in &report.added_in_new {
-        eprintln!("added      {name} (not in baseline)");
-    }
-    let new_median = |name: &str| {
-        report
-            .lines
-            .iter()
-            .find(|l| l.name == name)
-            .map(|l| l.new.median)
-    };
-    let mut gate_failed = false;
-    for (fast, slow) in &gates {
-        // A gate name must resolve: a silently missing gated benchmark
-        // would turn the hard gate into a no-op.
-        let (Some(f), Some(s)) = (new_median(fast), new_median(slow)) else {
-            eprintln!("error: --gate {fast}:{slow}: no such benchmark in both documents");
-            return ExitCode::FAILURE;
-        };
-        let verdict = if f < s { "gate ok" } else { "gate FAIL" };
-        eprintln!(
-            "{verdict:<10} {fast} {f} µs vs {slow} {s} µs ({:.2}×)",
-            f as f64 / s.max(1) as f64
-        );
-        gate_failed |= f >= s;
-    }
-    if gate_failed {
-        return ExitCode::from(3);
-    }
-    let n = report.regressions();
-    if n > 0 {
-        eprintln!(
-            "{n} of {} benchmark(s) regressed beyond tolerance (frac {frac}, \
-             {}×MAD noise band, {}µs floor)",
-            report.lines.len(),
-            tol.mad_sigmas,
-            tol.abs_floor_us,
-        );
-        return ExitCode::from(2);
-    }
-    eprintln!(
-        "no regressions across {} benchmark(s) (frac {frac})",
-        report.lines.len()
-    );
-    ExitCode::SUCCESS
-}
-
 /// `jns bench`: measures the requested suites with warmup + repeated
-/// runs and writes one pinned `BENCH_<suite>.json` per suite.
+/// runs, writes one `BENCH_<suite>.json` per suite, and checks each
+/// suite's same-run gates. Exit 3 once every document is written if a
+/// gate failed; 1 if a gate names an arm its suite did not produce.
 fn cmd_bench(mut args: Vec<String>) -> ExitCode {
-    if take_flag(&mut args, "--compare") {
-        return cmd_bench_compare(args);
-    }
     let mut suites: Vec<String> = Vec::new();
     loop {
         match take_path(&mut args, "--suite") {
@@ -753,35 +610,32 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
         }
     };
     let out_dir = match take_path(&mut args, "--out-dir") {
-        Ok(d) => d.unwrap_or_else(|| ".".to_string()),
+        Ok(d) => d.unwrap_or_else(|| "target/bench".to_string()),
         Err(code) => return code,
     };
     if args.len() != 1 {
         return usage();
     }
-    // Fail before measuring anything, not after the last suite.
+    // Fail before measuring anything, not after the first suites.
+    let known = bench::workloads::SUITES;
+    if let Some(bad) = suites.iter().find(|s| !known.contains(&s.as_str())) {
+        eprintln!("error: unknown suite `{bad}` (valid: {})", known.join(", "));
+        return ExitCode::FAILURE;
+    }
     if let Err(e) = std::fs::create_dir_all(&out_dir) {
         eprintln!("error: cannot create {out_dir}: {e}");
         return ExitCode::FAILURE;
     }
     if suites.is_empty() {
-        suites = bench::workloads::SUITES
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        suites = known.iter().map(|s| s.to_string()).collect();
     }
     let cfg = SampleConfig {
         warmup,
         runs: repeat,
     };
+    let (mut failed, mut broken) = (false, false);
     for suite_name in &suites {
-        let Some(workloads) = bench::workloads::suite(suite_name) else {
-            eprintln!(
-                "error: unknown suite `{suite_name}` (valid: {})",
-                bench::workloads::SUITES.join(", ")
-            );
-            return ExitCode::FAILURE;
-        };
+        let workloads = bench::workloads::suite(suite_name).expect("suite names checked above");
         eprintln!(
             "suite {suite_name}: {} benchmarks × {repeat} runs (+{warmup} warmup)",
             workloads.len()
@@ -808,8 +662,26 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("wrote {path}");
+        for &gate in bench::workloads::gates(suite_name) {
+            match bench::workloads::check_gate(gate, &doc) {
+                Ok((held, line)) => {
+                    eprintln!("{line}");
+                    failed |= !held;
+                }
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    broken = true;
+                }
+            }
+        }
     }
-    ExitCode::SUCCESS
+    if broken {
+        ExitCode::FAILURE
+    } else if failed {
+        ExitCode::from(3)
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Accumulated GC figures for the trace report, split by collection
