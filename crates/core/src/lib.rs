@@ -101,7 +101,6 @@ pub enum Backend {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Compiler {
     run: RunConfig,
-    infer_constraints: bool,
     backend: Backend,
     // The fusion ablation knob, stored negated so `Default` (false)
     // means fusion is on.
@@ -148,14 +147,6 @@ impl Compiler {
         self
     }
 
-    /// Enables automatic inference of method sharing constraints (the
-    /// paper's §2.5 future work); inferred constraints still participate
-    /// in Q-OK, so modular soundness is preserved.
-    pub fn with_inferred_constraints(mut self) -> Self {
-        self.infer_constraints = true;
-        self
-    }
-
     /// Selects the execution backend for [`Compiled::run`].
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
@@ -188,12 +179,7 @@ impl Compiler {
         let ast = parse(src)?;
         let parse_us = parse_start.elapsed().as_micros() as u64;
         let check_start = std::time::Instant::now();
-        let checked = jns_types::check_with(
-            &ast,
-            jns_types::CheckOptions {
-                infer_constraints: self.infer_constraints,
-            },
-        )?;
+        let checked = jns_types::check(&ast)?;
         let check_us = check_start.elapsed().as_micros() as u64;
         let check_phases = checked.timings;
         Ok(Compiled {
@@ -420,16 +406,6 @@ impl SharedProgram {
     /// inline caches.
     pub fn spawn_vm(&self) -> jns_vm::Vm<'_> {
         jns_vm::Vm::new(&self.program, self.code.as_ref())
-    }
-
-    /// The checked program backing this handle.
-    pub fn program(&self) -> &CheckedProgram {
-        &self.program
-    }
-
-    /// The shared bytecode.
-    pub fn code(&self) -> &std::sync::Arc<jns_vm::VmProgram> {
-        &self.code
     }
 }
 

@@ -13,31 +13,34 @@
 //!   storage for writes outside the static layout.
 //!
 //! A backend chooses per allocation how many slots the object gets; the
-//! rest of the surface (`get`, `set`, `len`, [`Heap::reset`],
-//! [`Heap::collect`]) is identical, so `jns-serve` workers, the CLI, and
-//! the test suites see one accounting path regardless of engine.
+//! rest of the surface (`get`, `set`, `len`, [`Heap::reset`], and the one
+//! GC entry [`Heap::collect_if_due`]) is identical, so `jns-serve`
+//! workers, the CLI, and the test suites see one accounting path
+//! regardless of engine.
 //!
 //! # Garbage collection
 //!
-//! [`Heap::collect`] is a stop-the-world **mark-compact** collector:
+//! [`Heap::collect_kind`] is a stop-the-world **mark-compact** collector
+//! over a *region*, the suffix `objs[t..]` of the heap:
 //!
 //! 1. **Mark.** The caller enumerates its roots — every live [`RefVal`]
 //!    reachable from its explicit control/value/frame stacks (both
 //!    backends run on heap-allocated stacks since the CEK refactor, so
 //!    roots are precisely enumerable). Marking traces object cells
-//!    transitively.
-//! 2. **Compact.** Live objects slide down in allocation order; dead ones
-//!    are dropped in place.
-//! 3. **Forward.** Every `Loc` — in heap cells and, via the same root
-//!    callback, in the caller's stacks — is rewritten through the
-//!    forwarding table. Aliased references to one object are rewritten to
-//!    the *same* new location, so reference identity (`==` is location
-//!    equality, views share ℓ) survives compaction.
+//!    transitively inside the region.
+//! 2. **Compact.** Live region objects slide down onto `t` in allocation
+//!    order; dead ones are dropped in place. Objects below `t` never move.
+//! 3. **Forward.** Every `Loc` into the region — in heap cells and, via
+//!    the same root callback, in the caller's stacks — is rewritten
+//!    through the forwarding table. Aliased references to one object are
+//!    rewritten to the *same* new location, so reference identity (`==`
+//!    is location equality, views share ℓ) survives compaction.
 //!
-//! Collection triggers when the live-object count reaches the configured
-//! [`Heap::set_limit`] threshold (`--heap-limit` on the CLI); with no
-//! limit the collector never runs and behaviour is byte-identical to the
-//! pre-GC heaps.
+//! Both engines call [`Heap::collect_if_due`] before they allocate. It
+//! collects when the live-object count reaches the configured
+//! [`Heap::set_limit`] threshold (`--heap-limit` on the CLI), and records
+//! the `Gc` trace event; with no limit the collector never runs and
+//! behaviour is byte-identical to the pre-GC heaps.
 //!
 //! # Generational collection
 //!
@@ -45,32 +48,32 @@
 //! subdivides a GC-managed heap, it does not enable GC by itself), the
 //! heap becomes **generational**. Allocation already appends, so the
 //! *nursery* is simply the vector's tail above the [`Heap::tenured`]
-//! boundary; everything below the boundary is the *tenured* region.
+//! boundary; everything below the boundary is the *tenured* region. The
+//! two kinds of collection are the one pass above with different starts
+//! (Appel, *Simple Generational Garbage Collection and Fast Allocation*,
+//! SP&E 1989):
 //!
-//! - **Minor collection** ([`GcKind::Minor`]) runs when the nursery
-//!   fills. It marks only nursery objects — from the caller's roots plus
-//!   the *remembered set* (below) — then slides survivors down onto the
-//!   boundary with the same order-preserving compaction the full
-//!   collector uses. Sliding a survivor to the boundary **is** promotion:
-//!   the boundary then advances past it, tenured objects never move, and
-//!   only nursery ℓs are forwarded (in promoted cells, remembered-set
-//!   cells, and the caller's roots).
-//! - **Major collection** ([`GcKind::Major`]) is the unchanged full
-//!   mark-compact above; it fires on the same live-count trigger as
-//!   before (minor collections never grow the heap, so the
-//!   `peak_live ≤ limit` bound is preserved verbatim). All of a major's
-//!   survivors become tenured.
+//! - **Minor collection** ([`GcKind::Minor`]) runs when the nursery fills
+//!   and starts at the boundary: it marks nursery objects from the
+//!   caller's roots plus the *remembered set* (below) and slides the
+//!   survivors down onto the boundary. Sliding a survivor to the boundary
+//!   **is** promotion: the boundary then advances past it.
+//! - **Major collection** ([`GcKind::Major`]) starts at 0, the whole
+//!   heap. It fires on the live-count trigger, which wins over a full
+//!   nursery (minor collections never grow the heap, so the
+//!   `peak_live ≤ limit` bound holds). All of a major's survivors become
+//!   tenured.
 //!
 //! The **write barrier** lives in [`Heap::set`] — the single mutation
 //! choke point for both backends: storing a reference to a nursery
 //! object into a tenured object records the tenured ℓ in a deduplicated
 //! remembered set (insertion-ordered `Vec` + bitmap; card-free, which is
-//! fine at this heap's scale). Minor collections scan remembered
+//! fine at this heap's scale). A minor collection scans remembered
 //! objects' cells as extra roots, so a tenured object that is the only
 //! path to a nursery object keeps it alive without tracing the tenured
-//! region. The nursery is emptied by every collection, so the remembered
-//! set is cleared afterwards; dead entries merely persist until the next
-//! major (ordinary floating garbage).
+//! region. Every collection empties the nursery, so the remembered set is
+//! cleared afterwards; dead entries merely persist until the next major
+//! (ordinary floating garbage).
 
 use crate::value::{Loc, RefVal, Value};
 use jns_types::{ClassId, Name};
@@ -164,8 +167,8 @@ pub enum GcKind {
     /// Nursery-only collection: marks and compacts the region above the
     /// [`Heap::tenured`] boundary, promoting survivors.
     Minor,
-    /// Full mark-compact over the whole heap (the pre-generational
-    /// collector); all survivors become tenured.
+    /// Mark-compact over the whole heap (the only kind without a
+    /// nursery); all survivors become tenured.
     Major,
 }
 
@@ -237,11 +240,6 @@ impl Heap {
     /// byte-identical no-GC behaviour.
     pub fn set_nursery(&mut self, nursery: Option<usize>) {
         self.nursery = nursery.map(|c| c.max(1));
-    }
-
-    /// The configured nursery capacity.
-    pub fn nursery(&self) -> Option<usize> {
-        self.nursery
     }
 
     /// The generational boundary: objects at ℓ < `tenured()` are in the
@@ -350,80 +348,74 @@ impl Heap {
         None
     }
 
-    /// Runs the requested collection: [`GcKind::Major`] is
-    /// [`Heap::collect`], [`GcKind::Minor`] the nursery-only pass. Same
-    /// root-callback contract as `collect`; returns objects reclaimed.
-    pub fn collect_kind<F>(&mut self, kind: GcKind, for_each_root: F) -> usize
+    /// The GC point both engines call before they allocate: runs the
+    /// collection [`Heap::pending_collection`] asks for, if any, over the
+    /// roots `for_each_root` enumerates (the contract of
+    /// [`Heap::collect_kind`]). With a `trace` buffer it also records one
+    /// [`jns_obs::TraceEvent::Gc`]; the pause is timed only then.
+    #[inline]
+    pub fn collect_if_due<F>(&mut self, trace: Option<&mut jns_obs::TraceBuffer>, for_each_root: F)
     where
         F: FnMut(&mut dyn FnMut(&mut RefVal)),
     {
-        match kind {
-            GcKind::Major => self.collect(for_each_root),
-            GcKind::Minor => self.collect_minor(for_each_root),
+        let Some(kind) = self.pending_collection() else {
+            return;
+        };
+        let start = trace.as_ref().map(|_| std::time::Instant::now());
+        let reclaimed = self.collect_kind(kind, for_each_root);
+        if let (Some(t), Some(start)) = (trace, start) {
+            t.push(jns_obs::TraceEvent::Gc {
+                kind: kind.label(),
+                reclaimed: reclaimed as u64,
+                live: self.objs.len() as u64,
+                peak_live: self.gc.peak_live,
+                pause_us: start.elapsed().as_micros() as u64,
+            });
         }
     }
 
-    /// Minor collection: mark the nursery (`objs[tenured..]`) from the
-    /// caller's roots plus the remembered set, slide survivors down onto
-    /// the tenured boundary (promotion — allocation order kept, tenured
-    /// objects untouched), then forward nursery ℓs in promoted cells,
-    /// remembered cells, and the roots. Empties the nursery, so the
-    /// remembered set is cleared afterwards.
-    fn collect_minor<F>(&mut self, mut for_each_root: F) -> usize
+    /// Mark-compact collection of the region `objs[t..]`: a
+    /// [`GcKind::Major`] collection starts at `t = 0`, a
+    /// [`GcKind::Minor`] one at the tenured boundary. Objects below `t`
+    /// neither move nor die; the remembered ones among them are scanned as
+    /// extra roots. Survivors slide down onto `t` in allocation order and
+    /// become tenured. `for_each_root` must apply the given visitor to
+    /// **every** live [`RefVal`] the caller can reach; it is called twice,
+    /// once to mark and once to forward the compacted `Loc`s back through
+    /// the roots. Returns the number of objects reclaimed.
+    pub fn collect_kind<F>(&mut self, kind: GcKind, mut for_each_root: F) -> usize
     where
         F: FnMut(&mut dyn FnMut(&mut RefVal)),
     {
         let n = self.objs.len();
-        let t = self.tenured.min(n);
-        let nn = n - t;
-        let mut marked = vec![false; nn];
-        let mut work: Vec<Loc> = Vec::new();
-        // Mark phase: the caller's roots…
-        for_each_root(&mut |r: &mut RefVal| {
-            let i = r.loc as usize;
-            if i >= t && i < n && !marked[i - t] {
-                marked[i - t] = true;
-                work.push(r.loc);
-            }
-        });
-        // …plus every cell of a remembered tenured object (the only
-        // tenured→nursery edges, by the write-barrier invariant)…
-        for &rem in &self.remembered {
-            let ri = rem as usize;
-            if ri >= t {
-                continue;
-            }
-            for v in self.objs[ri].values() {
-                if let Value::Ref(r) = v {
-                    let i = r.loc as usize;
-                    if i >= t && i < n && !marked[i - t] {
-                        marked[i - t] = true;
-                        work.push(r.loc);
-                    }
-                }
-            }
-        }
-        // …traced transitively within the nursery (a nursery object's
-        // reference *into* the tenured region needs no work: its target
-        // does not move).
+        let t = match kind {
+            GcKind::Major => 0,
+            GcKind::Minor => self.tenured.min(n),
+        };
+        // Mark phase. By the write-barrier invariant the remembered
+        // objects below `t` hold the only edges into the region from
+        // outside it, so they seed the work list with the roots; tracing
+        // then stays inside the region (a target below `t` does not move).
+        let mut marked = vec![false; n - t];
+        let mut work: Vec<Loc> = self
+            .remembered
+            .iter()
+            .copied()
+            .filter(|&l| (l as usize) < t)
+            .collect();
+        for_each_root(&mut |r: &mut RefVal| mark(&mut marked, &mut work, t, r.loc));
         while let Some(l) = work.pop() {
             for v in self.objs[l as usize].values() {
                 if let Value::Ref(r) = v {
-                    let i = r.loc as usize;
-                    if i >= t && i < n && !marked[i - t] {
-                        marked[i - t] = true;
-                        work.push(r.loc);
-                    }
+                    mark(&mut marked, &mut work, t, r.loc);
                 }
             }
         }
-        // Promotion: slide survivors down onto the boundary (the same
-        // order-preserving compaction as the major collector, restricted
-        // to the nursery slice).
-        let mut fwd: Vec<Loc> = vec![Loc::MAX; nn];
+        // Forwarding table + sliding compaction (allocation order kept).
+        let mut fwd: Vec<Loc> = vec![Loc::MAX; n - t];
         let mut next = t;
-        for (j, m) in marked.iter().enumerate() {
-            if *m {
+        for (j, &m) in marked.iter().enumerate() {
+            if m {
                 fwd[j] = next as Loc;
                 if next != t + j {
                     self.objs.swap(next, t + j);
@@ -432,131 +424,50 @@ impl Heap {
             }
         }
         self.objs.truncate(next);
-        // Forward nursery ℓs in the promoted objects' cells… (tenured
-        // ℓs, and dangling ℓs ≥ the old length, stay unchanged — same
-        // benign-miss policy as the major collector)
-        for obj in &mut self.objs[t..] {
-            for v in obj.values_mut() {
-                if let Value::Ref(r) = v {
-                    let i = r.loc as usize;
-                    if i >= t && i < n && fwd[i - t] != Loc::MAX {
-                        r.loc = fwd[i - t];
-                    }
-                }
-            }
-        }
-        // …in the remembered tenured objects' cells…
-        for &rem in &self.remembered {
-            let ri = rem as usize;
-            if ri >= t {
-                continue;
-            }
-            for v in self.objs[ri].values_mut() {
-                if let Value::Ref(r) = v {
-                    let i = r.loc as usize;
-                    if i >= t && i < n && fwd[i - t] != Loc::MAX {
-                        r.loc = fwd[i - t];
-                    }
-                }
-            }
-        }
-        // …and in the caller's roots.
-        for_each_root(&mut |r: &mut RefVal| {
-            let i = r.loc as usize;
-            if i >= t && i < n && fwd[i - t] != Loc::MAX {
-                r.loc = fwd[i - t];
-            }
-        });
-        let reclaimed = n - next;
-        self.gc.runs += 1;
-        self.gc.minor_runs += 1;
-        self.gc.promoted += (next - t) as u64;
-        self.gc.reclaimed += reclaimed as u64;
-        // The nursery is now empty: no tenured→nursery edge can exist,
-        // so the remembered set restarts from scratch. The major trigger
-        // (`next_gc`) is deliberately untouched — a minor collection
-        // never grows the heap.
-        for &rem in &self.remembered {
-            if let Some(b) = self.rem_bits.get_mut(rem as usize) {
-                *b = false;
-            }
-        }
-        self.remembered.clear();
-        self.tenured = next;
-        reclaimed
-    }
-
-    /// Mark-compact collection. `for_each_root` must apply the given
-    /// visitor to **every** live [`RefVal`] the caller can reach; it is
-    /// called twice — once to mark, once to forward the compacted `Loc`s
-    /// back through the roots. Returns the number of objects reclaimed.
-    pub fn collect<F>(&mut self, mut for_each_root: F) -> usize
-    where
-        F: FnMut(&mut dyn FnMut(&mut RefVal)),
-    {
-        let n = self.objs.len();
-        let mut marked = vec![false; n];
-        let mut work: Vec<Loc> = Vec::new();
-        // Mark phase: roots, then transitive cells.
-        for_each_root(&mut |r: &mut RefVal| {
-            let i = r.loc as usize;
-            if i < n && !marked[i] {
-                marked[i] = true;
-                work.push(r.loc);
-            }
-        });
-        while let Some(l) = work.pop() {
-            // `marked` and `work` are disjoint from `objs`, so the trace
-            // borrows the object immutably while it queues children.
-            for v in self.objs[l as usize].values() {
-                if let Value::Ref(r) = v {
-                    let i = r.loc as usize;
-                    if i < n && !marked[i] {
-                        marked[i] = true;
-                        work.push(r.loc);
-                    }
-                }
-            }
-        }
-        // Forwarding table + sliding compaction (allocation order kept).
-        let mut fwd: Vec<Loc> = vec![Loc::MAX; n];
-        let mut next: usize = 0;
-        for (i, m) in marked.iter().enumerate() {
-            if *m {
-                fwd[i] = next as Loc;
-                if next != i {
-                    self.objs.swap(next, i);
-                }
-                next += 1;
-            }
-        }
-        self.objs.truncate(next);
-        // Forward every surviving reference: heap cells, then roots. A
-        // dangling ℓ (stale reference held across a reset — the same
-        // misuse `Heap::set` silently ignores) stays unchanged, which
-        // keeps it out of bounds and therefore still benign, instead of
-        // panicking here where the mark pass deliberately skipped it.
-        for obj in &mut self.objs {
-            for v in obj.values_mut() {
-                if let Value::Ref(r) = v {
-                    if let Some(&to) = fwd.get(r.loc as usize) {
-                        r.loc = to;
-                    }
-                }
-            }
-        }
-        for_each_root(&mut |r: &mut RefVal| {
-            if let Some(&to) = fwd.get(r.loc as usize) {
+        // Forward every reference into the region: in the survivors' and
+        // the remembered objects' cells, then in the roots. An ℓ outside
+        // the region stays unchanged: below `t` it did not move, and a
+        // dangling one (a stale reference held across a reset, the misuse
+        // `Heap::set` silently ignores) stays out of bounds and therefore
+        // benign, instead of panicking here where marking skipped it.
+        let forward = |r: &mut RefVal| {
+            if let Some(&to) = fwd.get((r.loc as usize).wrapping_sub(t)) {
                 r.loc = to;
             }
-        });
+        };
+        let remembered = self.remembered.iter().map(|&l| l as usize);
+        for i in remembered.filter(|&i| i < t).chain(t..next) {
+            for v in self.objs[i].values_mut() {
+                if let Value::Ref(r) = v {
+                    forward(r);
+                }
+            }
+        }
+        for_each_root(&mut |r: &mut RefVal| forward(r));
         let reclaimed = n - next;
         self.gc.runs += 1;
-        self.gc.major_runs += 1;
         self.gc.reclaimed += reclaimed as u64;
-        // Everything that survived a full collection is tenured, and the
-        // now-empty nursery means no tenured→nursery edge survives: the
-        // remembered set restarts from scratch.
+        match kind {
+            GcKind::Minor => {
+                // The major trigger (`next_gc`) is deliberately untouched:
+                // a minor collection never grows the heap.
+                self.gc.minor_runs += 1;
+                self.gc.promoted += (next - t) as u64;
+            }
+            GcKind::Major => {
+                self.gc.major_runs += 1;
+                // Re-arm the trigger: back at the limit while the
+                // survivors fit strictly under it (so `peak_live` stays
+                // bounded by the limit), doubling the live size once they
+                // fill it (so an all-live heap completes instead of
+                // collecting on every allocation).
+                if let Some(l) = self.limit {
+                    self.next_gc = if next >= l { 2 * next } else { l };
+                }
+            }
+        }
+        // Every survivor is tenured now and the region is empty, so no
+        // tenured→nursery edge remains: the remembered set restarts.
         self.tenured = next;
         for &rem in &self.remembered {
             if let Some(b) = self.rem_bits.get_mut(rem as usize) {
@@ -564,14 +475,17 @@ impl Heap {
             }
         }
         self.remembered.clear();
-        // Re-arm the trigger: back at the limit while the survivors fit
-        // strictly under it (so `peak_live` stays bounded by the limit),
-        // doubling the live size once they fill it (so an all-live heap
-        // completes instead of collecting on every allocation).
-        if let Some(l) = self.limit {
-            self.next_gc = if next >= l { 2 * next } else { l };
-        }
         reclaimed
+    }
+}
+
+/// Marks `loc` if it lies in the collected region (`marked[i]` stands for
+/// ℓ = `t + i`) and is not yet marked, queueing it for tracing.
+fn mark(marked: &mut [bool], work: &mut Vec<Loc>, t: usize, loc: Loc) {
+    let i = (loc as usize).wrapping_sub(t);
+    if i < marked.len() && !marked[i] {
+        marked[i] = true;
+        work.push(loc);
     }
 }
 
@@ -621,7 +535,7 @@ mod tests {
         h.set(live, ClassId::ROOT, None, f, Value::Ref(rv(child)));
         let mut root = rv(live);
         let mut alias = rv(live);
-        let reclaimed = h.collect(|visit| {
+        let reclaimed = h.collect_kind(GcKind::Major, |visit| {
             visit(&mut root);
             visit(&mut alias);
         });
@@ -642,7 +556,9 @@ mod tests {
         let mut h = Heap::new();
         let keep: Vec<Loc> = (0..6).map(|_| h.alloc(0)).collect();
         let mut roots: Vec<RefVal> = keep.iter().step_by(2).map(|&l| rv(l)).collect();
-        h.collect(|visit| roots.iter_mut().for_each(&mut *visit));
+        h.collect_kind(GcKind::Major, |visit| {
+            roots.iter_mut().for_each(&mut *visit)
+        });
         let locs: Vec<Loc> = roots.iter().map(|r| r.loc).collect();
         assert_eq!(locs, vec![0, 1, 2], "sliding compaction keeps order");
         assert_eq!(h.len(), 3);
@@ -656,7 +572,7 @@ mod tests {
         // A stale reference from before a reset: its ℓ is out of bounds.
         let mut stale = rv(9999);
         let mut root = rv(live);
-        let reclaimed = h.collect(|visit| {
+        let reclaimed = h.collect_kind(GcKind::Major, |visit| {
             visit(&mut stale);
             visit(&mut root);
         });
@@ -677,7 +593,9 @@ mod tests {
             h.alloc(0);
         }
         assert_eq!(h.pending_collection(), Some(GcKind::Major));
-        h.collect(|visit| roots.iter_mut().for_each(&mut *visit));
+        h.collect_kind(GcKind::Major, |visit| {
+            roots.iter_mut().for_each(&mut *visit)
+        });
         assert_eq!(h.len(), 7);
         // 7 survivors fit under the limit of 10: the trigger re-arms at
         // the limit, so the heap never grows past it (the bound
@@ -688,12 +606,16 @@ mod tests {
         }
         h.alloc(0);
         assert_eq!(h.pending_collection(), Some(GcKind::Major));
-        h.collect(|visit| roots.iter_mut().for_each(&mut *visit));
+        h.collect_kind(GcKind::Major, |visit| {
+            roots.iter_mut().for_each(&mut *visit)
+        });
         assert_eq!(h.gc_stats().peak_live, 10);
         // An all-live heap instead doubles the trigger (no thrash).
         roots.extend((0..3).map(|_| rv(h.alloc(0))));
         assert_eq!(h.pending_collection(), Some(GcKind::Major));
-        h.collect(|visit| roots.iter_mut().for_each(&mut *visit));
+        h.collect_kind(GcKind::Major, |visit| {
+            roots.iter_mut().for_each(&mut *visit)
+        });
         assert_eq!(h.len(), 10);
         assert_eq!(h.pending_collection(), None);
         for _ in 0..9 {
@@ -833,7 +755,9 @@ mod tests {
         h.alloc(0);
         h.alloc(0);
         assert_eq!(h.pending_collection(), Some(GcKind::Major));
-        h.collect(|visit| roots.iter_mut().for_each(&mut *visit));
+        h.collect_kind(GcKind::Major, |visit| {
+            roots.iter_mut().for_each(&mut *visit)
+        });
         let stats = h.gc_stats();
         assert_eq!((stats.minor_runs, stats.major_runs), (0, 1));
         assert_eq!(h.tenured(), 2, "major tenures every survivor");
@@ -850,5 +774,190 @@ mod tests {
         assert_eq!(h.pending_collection(), None, "no limit: GC stays off");
         assert_eq!(h.gc_stats().barrier_hits, 0);
         assert_eq!(h.gc_stats().runs, 0);
+    }
+
+    /// SplitMix64, so the oracle test below needs no dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        /// Uniform in `0..n` (0 when `n` is 0).
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)).checked_rem(n as u64).unwrap_or(0) as usize
+        }
+    }
+
+    /// The `Int` cell naming each object: its allocation index.
+    const TAG: Name = Name(0);
+    /// Reference cells per object.
+    const EDGES: u32 = 3;
+    /// A root that points past the heap (a stale reference).
+    const DANGLING: Loc = 1 << 30;
+
+    /// Reference cell `k` of an object with `n_slots` layout slots: a
+    /// slot while the layout has one, an open cell after it.
+    fn edge_cell(k: u32, n_slots: u32) -> (Option<u32>, Name) {
+        ((k < n_slots).then_some(k), Name(1 + k))
+    }
+
+    /// A random object graph and the model it was built from. Until the
+    /// collection under test, object `o` sits at ℓ = `o`.
+    struct Graph {
+        heap: Heap,
+        /// Layout slots per object.
+        slots: Vec<u32>,
+        /// The target of each reference cell per object.
+        edges: Vec<[Option<usize>; EDGES as usize]>,
+        /// The tenured boundary: objects below it are old.
+        old: usize,
+        roots: Vec<RefVal>,
+    }
+
+    impl Graph {
+        fn alloc(&mut self, rng: &mut Rng) {
+            let o = self.slots.len();
+            let n_slots = rng.below(EDGES as usize) as u32;
+            assert_eq!(self.heap.alloc(n_slots), o as Loc);
+            self.heap
+                .set(o as Loc, ClassId::ROOT, None, TAG, Value::Int(o as i64));
+            self.slots.push(n_slots);
+            self.edges.push([None; EDGES as usize]);
+        }
+
+        /// Random stores between random objects, each through
+        /// `Heap::set` and so through the write barrier.
+        fn link(&mut self, rng: &mut Rng, stores: usize) {
+            let n = self.slots.len();
+            for _ in 0..stores {
+                let (from, k, to) = (rng.below(n), rng.below(EDGES as usize), rng.below(n));
+                let (slot, f) = edge_cell(k as u32, self.slots[from]);
+                let v = Value::Ref(rv(to as Loc));
+                self.heap.set(from as Loc, ClassId::ROOT, slot, f, v);
+                self.edges[from][k] = Some(to);
+            }
+        }
+
+        /// The object now at `loc`, by its tag.
+        fn tag_at(&self, loc: Loc) -> usize {
+            match self.heap.get(loc, ClassId::ROOT, None, TAG) {
+                Some(Value::Int(o)) => o as usize,
+                other => panic!("ℓ {loc} has tag {other:?}"),
+            }
+        }
+
+        /// The objects reachable from the roots and from every object in
+        /// `0..from_all_below`, in allocation order.
+        fn reachable(&self, from_all_below: usize) -> Vec<usize> {
+            let n = self.slots.len();
+            let mut live = vec![false; n];
+            let mut work: Vec<usize> = self.roots.iter().map(|r| r.loc as usize).collect();
+            work.retain(|&o| o < n);
+            work.extend(0..from_all_below);
+            while let Some(o) = work.pop() {
+                if !std::mem::replace(&mut live[o], true) {
+                    work.extend(self.edges[o].iter().flatten());
+                }
+            }
+            (0..n).filter(|&o| live[o]).collect()
+        }
+    }
+
+    /// Old objects linked among themselves and tenured (a collection with
+    /// every object as a root), then nursery objects and stores in every
+    /// direction: old→young stores fill the remembered set. The roots are
+    /// random objects, aliases included, plus one dangling ℓ.
+    fn random_graph(seed: u64) -> Graph {
+        let mut rng = Rng(seed);
+        let mut g = Graph {
+            heap: Heap::new(),
+            slots: Vec::new(),
+            edges: Vec::new(),
+            old: 0,
+            roots: Vec::new(),
+        };
+        g.heap.set_limit(Some(1 << 20));
+        g.heap.set_nursery(Some(1 << 20));
+        for _ in 0..rng.below(16) {
+            g.alloc(&mut rng);
+        }
+        let stores = rng.below(2 * g.slots.len() + 1);
+        g.link(&mut rng, stores);
+        let mut all: Vec<RefVal> = (0..g.slots.len()).map(|o| rv(o as Loc)).collect();
+        g.heap
+            .collect_kind(GcKind::Minor, |visit| all.iter_mut().for_each(&mut *visit));
+        g.old = g.slots.len();
+        assert_eq!(g.heap.tenured(), g.old);
+        for _ in 0..rng.below(24) {
+            g.alloc(&mut rng);
+        }
+        let stores = rng.below(3 * g.slots.len() + 1);
+        g.link(&mut rng, stores);
+        for _ in 0..rng.below(6).min(g.slots.len()) {
+            g.roots.push(rv(rng.below(g.slots.len()) as Loc));
+        }
+        g.roots.push(rv(DANGLING));
+        g
+    }
+
+    /// The collector against an oracle: after a collection of either
+    /// kind, the survivors are exactly the reachable objects of the
+    /// collected region (for a minor one, plus every object below the
+    /// boundary, all of which count as live), in allocation order, and
+    /// every root and cell still reaches the object it reached before.
+    #[test]
+    fn collect_kind_keeps_exactly_the_reachable_objects_in_order() {
+        let (mut barrier_hits, mut kept_only_by_old) = (0, 0);
+        for seed in 0..300 {
+            for kind in [GcKind::Minor, GcKind::Major] {
+                let mut g = random_graph(seed);
+                let n = g.slots.len();
+                let t = if kind == GcKind::Minor { g.old } else { 0 };
+                let expected = g.reachable(t);
+                if kind == GcKind::Minor && expected.len() > g.reachable(0).len() + t {
+                    kept_only_by_old += 1;
+                }
+                barrier_hits += g.heap.gc_stats().barrier_hits;
+                let before = g.heap.gc_stats();
+                let mut roots = std::mem::take(&mut g.roots);
+                let reclaimed = g
+                    .heap
+                    .collect_kind(kind, |visit| roots.iter_mut().for_each(&mut *visit));
+                let case = format!("seed {seed}, {kind:?}");
+                let survivors: Vec<usize> = (0..g.heap.len()).map(|l| g.tag_at(l as Loc)).collect();
+                assert_eq!(survivors, expected, "{case}: survivors");
+                assert_eq!(reclaimed, n - expected.len(), "{case}: reclaimed");
+                assert_eq!(g.heap.tenured(), expected.len(), "{case}: all tenured");
+                let after = g.heap.gc_stats();
+                let promoted = match kind {
+                    GcKind::Minor => expected.len() - t,
+                    GcKind::Major => 0,
+                };
+                assert_eq!(after.promoted - before.promoted, promoted as u64, "{case}");
+                for r in &roots[..roots.len() - 1] {
+                    let o = g.tag_at(r.loc);
+                    assert_eq!(r.loc as usize, survivors.binary_search(&o).unwrap());
+                }
+                assert_eq!(roots.last().map(|r| r.loc), Some(DANGLING), "{case}");
+                for (loc, &o) in survivors.iter().enumerate() {
+                    for k in 0..EDGES {
+                        let (slot, f) = edge_cell(k, g.slots[o]);
+                        let to = g.heap.get(loc as Loc, ClassId::ROOT, slot, f).map(|v| {
+                            let Value::Ref(r) = v else {
+                                panic!("{case}: cell {k} of {o} is {v:?}")
+                            };
+                            g.tag_at(r.loc)
+                        });
+                        assert_eq!(to, g.edges[o][k as usize], "{case}: cell {k} of {o}");
+                    }
+                }
+            }
+        }
+        // The seeds exercise the barrier, and some nursery objects
+        // survive only through a remembered old object.
+        assert!(barrier_hits > 0);
+        assert!(kept_only_by_old > 0);
     }
 }

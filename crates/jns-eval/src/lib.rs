@@ -25,6 +25,7 @@
 pub mod error;
 pub mod heap;
 pub mod machine;
+pub mod rules;
 pub mod typeeval;
 pub mod value;
 

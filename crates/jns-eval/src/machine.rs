@@ -8,8 +8,17 @@
 //! (§4.15). Implicit view changes are *lazy*: a field read re-views the
 //! stored value against the field type interpreted in the reader's view
 //! (R-GET). With a heap limit configured ([`Machine::with_config`]),
-//! allocation triggers the heap's mark-compact collector, with roots
-//! enumerated from the explicit stacks described below.
+//! allocation goes through the heap's GC entry
+//! ([`crate::heap::Heap::collect_if_due`]), with roots enumerated from the
+//! explicit stacks described below.
+//!
+//! The rules the bytecode VM applies identically — the operators and
+//! `==`, the condition checks, how `print` shows a value, the `view`
+//! function's partner choice and the shared run-time error texts — are
+//! in [`crate::rules`], and the Fig. 16 type evaluator is in
+//! [`crate::typeeval`]; both engines call them. This module stays the
+//! reference for what the VM does its own way: evaluation, field storage,
+//! memo tables and GC roots.
 //!
 //! # Execution model: an explicit-stack machine
 //!
@@ -34,10 +43,11 @@
 
 use crate::error::RtError;
 use crate::heap::{GcStats, Heap};
+use crate::rules::{self, CondKind};
 use crate::typeeval;
 use crate::value::{Loc, MaskSet, RefVal, Value};
 use jns_syntax::{BinOp, UnOp};
-use jns_types::{CExpr, CheckedProgram, ClassId, Judge, Name, Ty, Type, TypeEnv};
+use jns_types::{CExpr, CheckedProgram, ClassId, Name, Ty, Type};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -440,11 +450,6 @@ impl<'p> Machine<'p> {
         self.trace.take()
     }
 
-    /// The attached trace buffer, for callers that push their own events.
-    pub fn trace_mut(&mut self) -> Option<&mut jns_obs::TraceBuffer> {
-        self.trace.as_mut()
-    }
-
     /// Applies the run limits in `cfg`. The collector's roots are the
     /// machine's explicit control/value stacks and environment frames.
     pub fn with_config(mut self, cfg: RunConfig) -> Self {
@@ -453,19 +458,6 @@ impl<'p> Machine<'p> {
         self.heap.set_limit(cfg.heap_limit);
         self.heap.set_nursery(cfg.nursery);
         self
-    }
-
-    /// Region-style reclamation between top-level invocations (the same
-    /// surface as `jns_vm::Vm::reset_for_request`): drops every heap
-    /// object and clears per-request state — output, statistics, call
-    /// depth — while keeping the subtype memo warm. Returns the number of
-    /// heap objects reclaimed.
-    pub fn reset_for_request(&mut self) -> usize {
-        let reclaimed = self.heap.reset();
-        self.output.clear();
-        self.stats = Stats::default();
-        self.depth = 0;
-        reclaimed
     }
 
     /// Sets the recursion-depth limit (method activations plus nested
@@ -640,8 +632,7 @@ impl<'p> Machine<'p> {
                 Work::Kont(k) => match k {
                     Kont::GetField(f) => {
                         let v = vals.pop().expect("getfield receiver");
-                        let r = self.expect_ref(v)?;
-                        let out = self.get_field(&r, f)?;
+                        let out = self.get_field(&rules::expect_ref(v)?, f)?;
                         vals.push(out);
                     }
                     Kont::SetField { x, f } => {
@@ -661,7 +652,7 @@ impl<'p> Machine<'p> {
                     }
                     Kont::CallRecv { m, args } => {
                         let v = vals.pop().expect("call receiver");
-                        let r = self.expect_ref(v)?;
+                        let r = rules::expect_ref(v)?;
                         match args.first() {
                             None => self.begin_call(r, m, Vec::new(), frame, ctrl)?,
                             Some(a0) => {
@@ -766,7 +757,7 @@ impl<'p> Machine<'p> {
                     }
                     Kont::View(ty) => {
                         let v = vals.pop().expect("view operand");
-                        let r = self.expect_ref(v)?;
+                        let r = rules::expect_ref(v)?;
                         self.stats.views_explicit += 1;
                         let (target, mut masks) = typeeval::eval_type(self, frame, &ty.ty)?;
                         masks.extend(ty.masks.iter().copied());
@@ -778,22 +769,17 @@ impl<'p> Machine<'p> {
                         match v {
                             Value::Ref(r) => {
                                 let (target, _masks) = typeeval::eval_type(self, frame, &ty.ty)?;
-                                if self.view_subtype(r.view, &target) {
-                                    vals.push(Value::Ref(r));
-                                } else {
-                                    return Err(RtError::CastFailed(format!(
-                                        "view `{}` is not a `{}`",
-                                        self.prog.table.class_name(r.view),
-                                        self.prog.table.show_ty(&target)
-                                    )));
+                                if !self.view_subtype(r.view, &target) {
+                                    return Err(rules::cast_failed(self.prog, r.view, &target));
                                 }
+                                vals.push(Value::Ref(r));
                             }
                             prim => vals.push(prim), // primitive casts are no-ops
                         }
                     }
                     Kont::And(r) => {
                         let lv = vals.pop().expect("&& operand");
-                        if lv.as_bool().ok_or_else(|| type_err("&& needs bool"))? {
+                        if CondKind::And.test(&lv)? {
                             ctrl.push(Work::Eval(r));
                         } else {
                             vals.push(Value::Bool(false));
@@ -801,7 +787,7 @@ impl<'p> Machine<'p> {
                     }
                     Kont::Or(r) => {
                         let lv = vals.pop().expect("|| operand");
-                        if lv.as_bool().ok_or_else(|| type_err("|| needs bool"))? {
+                        if CondKind::Or.test(&lv)? {
                             vals.push(Value::Bool(true));
                         } else {
                             ctrl.push(Work::Eval(r));
@@ -810,20 +796,15 @@ impl<'p> Machine<'p> {
                     Kont::BinOp(op) => {
                         let rv = vals.pop().expect("binary rhs");
                         let lv = vals.pop().expect("binary lhs");
-                        vals.push(self.binop(op, lv, rv)?);
+                        vals.push(rules::binop(op, lv, rv)?);
                     }
                     Kont::Un(op) => {
                         let v = vals.pop().expect("unary operand");
-                        let out = match (op, v) {
-                            (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
-                            (UnOp::Neg, Value::Int(n)) => Value::Int(n.wrapping_neg()),
-                            _ => return Err(type_err("bad unary operand")),
-                        };
-                        vals.push(out);
+                        vals.push(rules::unop(op, v)?);
                     }
                     Kont::If { t, e } => {
                         let cv = vals.pop().expect("if condition");
-                        if cv.as_bool().ok_or_else(|| type_err("if needs bool"))? {
+                        if CondKind::If.test(&cv)? {
                             ctrl.push(Work::Eval(t));
                         } else {
                             ctrl.push(Work::Eval(e));
@@ -831,7 +812,7 @@ impl<'p> Machine<'p> {
                     }
                     Kont::WhileCond { c, body } => {
                         let cv = vals.pop().expect("while condition");
-                        if cv.as_bool().ok_or_else(|| type_err("while needs bool"))? {
+                        if CondKind::While.test(&cv)? {
                             ctrl.push(Work::Kont(Kont::WhileBody { c, body }));
                             ctrl.push(Work::Eval(body));
                         } else {
@@ -868,22 +849,13 @@ impl<'p> Machine<'p> {
                     }
                     Kont::Print => {
                         let v = vals.pop().expect("print operand");
-                        let s = self.display_value(&v);
-                        self.output.push(s);
+                        self.output.push(rules::display_value(self.prog, &v));
                         vals.push(Value::Unit);
                     }
                 },
             }
         }
         Ok(vals.pop().expect("evaluation produced a value"))
-    }
-
-    /// Formats a value the way `print` shows it.
-    pub fn display_value(&self, v: &Value) -> String {
-        match v {
-            Value::Ref(r) => format!("{}@{}", self.prog.table.class_name(r.view), r.loc),
-            other => other.to_string(),
-        }
     }
 
     // -------------------------------------------------------------- fields
@@ -903,35 +875,19 @@ impl<'p> Machine<'p> {
                         break;
                     }
                 }
-                found.ok_or_else(|| {
-                    RtError::UninitialisedField(format!(
-                        "{}.{} (view {})",
-                        r.loc,
-                        self.prog.table.name_str(f),
-                        self.prog.table.class_name(r.view)
-                    ))
-                })?
+                found.ok_or_else(|| rules::uninitialised(self.prog, r, f))?
             }
         };
         match stored {
             Value::Ref(inner) => {
                 // ftype(∅, P!\f0, f) evaluated in the current view.
-                let ft = self.field_view_type(r.view, f)?;
-                let (ty, masks) = ft;
+                let (ty, masks) =
+                    rules::field_view_type(self.prog, r.view, f).map_err(RtError::BadType)?;
                 self.stats.views_implicit += 1;
                 self.apply_view(inner, &ty, masks).map(Value::Ref)
             }
             prim => Ok(prim),
         }
-    }
-
-    /// The field type of `f` interpreted in view `view`, as a runtime type.
-    fn field_view_type(&self, view: ClassId, f: Name) -> Result<(Ty, BTreeSet<Name>), RtError> {
-        let env = TypeEnv::new();
-        let judge = Judge::new(&self.prog.table, &env);
-        let recv = Ty::Class(view).exact().unmasked();
-        let ft = judge.ftype(&recv, f).map_err(RtError::BadType)?;
-        Ok((judge.canon(&ft.ty), ft.masks))
     }
 
     // -------------------------------------------------------------- alloc
@@ -978,23 +934,9 @@ impl<'p> Machine<'p> {
         // GC point: the only place the interpreter grows the heap. Roots
         // are the machine's explicit stacks plus the record values about
         // to be stored; the new object does not exist yet.
-        if let Some(kind) = self.heap.pending_collection() {
-            // Pause timing feeds the trace event only, so the clock is
-            // read just when a buffer is attached.
-            let start = self.trace.as_ref().map(|_| std::time::Instant::now());
-            let reclaimed = self.heap.collect_kind(kind, |visit| {
-                visit_roots(frame, ctrl, vals, &mut provided, visit);
-            });
-            if let Some(t) = self.trace.as_mut() {
-                t.push(jns_obs::TraceEvent::Gc {
-                    kind: kind.label(),
-                    reclaimed: reclaimed as u64,
-                    live: self.heap.len() as u64,
-                    peak_live: self.heap.gc_stats().peak_live,
-                    pause_us: start.map_or(0, |s| s.elapsed().as_micros() as u64),
-                });
-            }
-        }
+        self.heap.collect_if_due(self.trace.as_mut(), |visit| {
+            visit_roots(frame, ctrl, vals, &mut provided, visit);
+        });
         let loc = self.heap.alloc(0);
         let prog = self.prog;
         let all_fields: Vec<(ClassId, jns_types::FieldInfo)> = prog.table.fields_of(class);
@@ -1108,11 +1050,7 @@ impl<'p> Machine<'p> {
         }
         let prog = self.prog;
         let Some((_owner, method)) = prog.mbody(r.view, m) else {
-            return Err(RtError::TypeMismatch(format!(
-                "no method `{}` on view `{}`",
-                self.prog.table.name_str(m),
-                self.prog.table.class_name(r.view)
-            )));
+            return Err(rules::no_method(prog, r.view, m));
         };
         if method.params.len() != args.len() {
             return Err(RtError::TypeMismatch("arity".into()));
@@ -1152,29 +1090,15 @@ impl<'p> Machine<'p> {
             });
         }
         // Case 2: the unique shared partner below the target.
-        let partners = self.prog.sharing.partners(r.view);
-        let mut candidates = Vec::new();
-        for p in partners {
-            if p != r.view && self.view_subtype(p, target) {
-                candidates.push(p);
-            }
-        }
-        match candidates.len() {
-            1 => Ok(RefVal {
+        let prog = self.prog;
+        let partners = prog.sharing.partners(r.view);
+        match rules::unique_partner(partners, r.view, |p| self.view_subtype(p, target)) {
+            Ok(view) => Ok(RefVal {
                 loc: r.loc,
-                view: candidates[0],
+                view,
                 masks,
             }),
-            0 => Err(RtError::ViewFailed(format!(
-                "`{}` has no shared view under `{}`",
-                self.prog.table.class_name(r.view),
-                self.prog.table.show_ty(target)
-            ))),
-            _ => Err(RtError::ViewFailed(format!(
-                "ambiguous view change from `{}` to `{}`",
-                self.prog.table.class_name(r.view),
-                self.prog.table.show_ty(target)
-            ))),
+            Err(miss) => Err(miss.error(prog, r.view, target)),
         }
     }
 
@@ -1183,64 +1107,9 @@ impl<'p> Machine<'p> {
         if let Some(&b) = self.sub_memo.get(&(view, target.clone())) {
             return b;
         }
-        let env = TypeEnv::new();
-        let judge = Judge::new(&self.prog.table, &env);
-        let b = judge.sub_pure(&Ty::Class(view).exact(), target);
+        let b = rules::view_subtype(self.prog, view, target);
         self.sub_memo.insert((view, target.clone()), b);
         b
-    }
-
-    fn expect_ref(&self, v: Value) -> Result<RefVal, RtError> {
-        match v {
-            Value::Ref(r) => Ok(r),
-            other => Err(RtError::TypeMismatch(format!(
-                "expected an object, got `{other}`"
-            ))),
-        }
-    }
-
-    fn binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, RtError> {
-        use BinOp::*;
-        Ok(match (op, &l, &r) {
-            (Add, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
-            (Sub, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_sub(*b)),
-            (Mul, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_mul(*b)),
-            (Div, Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    return Err(RtError::DivisionByZero);
-                }
-                Value::Int(a.wrapping_div(*b))
-            }
-            (Rem, Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    return Err(RtError::DivisionByZero);
-                }
-                Value::Int(a.wrapping_rem(*b))
-            }
-            (Add, Value::Str(a), Value::Str(b)) => {
-                Value::Str(Arc::from(format!("{a}{b}").as_str()))
-            }
-            (Lt, Value::Int(a), Value::Int(b)) => Value::Bool(a < b),
-            (Le, Value::Int(a), Value::Int(b)) => Value::Bool(a <= b),
-            (Gt, Value::Int(a), Value::Int(b)) => Value::Bool(a > b),
-            (Ge, Value::Int(a), Value::Int(b)) => Value::Bool(a >= b),
-            (Eq, a, b) => Value::Bool(self.value_eq(a, b)?),
-            (Ne, a, b) => Value::Bool(!self.value_eq(a, b)?),
-            _ => return Err(type_err("bad binary operands")),
-        })
-    }
-
-    /// `==`: primitive equality, or *location* equality on references —
-    /// object identity is independent of the view (§2.3).
-    fn value_eq(&self, l: &Value, r: &Value) -> Result<bool, RtError> {
-        Ok(match (l, r) {
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (Value::Unit, Value::Unit) => true,
-            (Value::Ref(a), Value::Ref(b)) => a.loc == b.loc,
-            _ => return Err(type_err("`==` on mismatched values")),
-        })
     }
 
     // --------------------------------------------------- CONFIG invariant
@@ -1269,7 +1138,7 @@ impl<'p> Machine<'p> {
                 if self.prog.sharing.fclass(view, f) != copy {
                     continue;
                 }
-                let Ok((ty, masks)) = self.field_view_type(view, f) else {
+                let Ok((ty, masks)) = rules::field_view_type(self.prog, view, f) else {
                     continue;
                 };
                 if self.apply_view(inner.clone(), &ty, masks).is_err() {
@@ -1295,8 +1164,4 @@ impl<'p> Machine<'p> {
     pub fn program(&self) -> &'p CheckedProgram {
         self.prog
     }
-}
-
-fn type_err(m: &str) -> RtError {
-    RtError::TypeMismatch(m.to_string())
 }

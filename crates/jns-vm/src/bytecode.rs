@@ -24,31 +24,9 @@ use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Why a conditional jump demanded a boolean: selects the same error
-/// message the tree-walking interpreter produces for ill-shaped operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CondKind {
-    /// `if` condition.
-    If,
-    /// `while` condition.
-    While,
-    /// Left operand of `&&`.
-    And,
-    /// Left operand of `||`.
-    Or,
-}
-
-impl CondKind {
-    /// The interpreter-compatible error message.
-    pub fn message(self) -> &'static str {
-        match self {
-            CondKind::If => "if needs bool",
-            CondKind::While => "while needs bool",
-            CondKind::And => "&& needs bool",
-            CondKind::Or => "|| needs bool",
-        }
-    }
-}
+/// Why a conditional jump demanded a boolean: the shared rule selects the
+/// same error text the tree-walking interpreter raises.
+pub use jns_eval::rules::CondKind;
 
 /// A compile-time-detected error that must surface at *run* time to keep
 /// backend behaviour aligned (e.g. an unbound variable in dead code).

@@ -7,6 +7,7 @@
 //! on the receiver's view, which is a run-time quantity.
 
 use crate::bytecode::{Chunk, CondKind, Instr, TrapKind, TypeEntry, VmProgram};
+use jns_eval::{rules, Value};
 use jns_syntax::BinOp;
 use jns_types::{CExpr, CheckedProgram, Name, Ty, Type};
 use std::collections::{BTreeSet, HashMap};
@@ -122,64 +123,35 @@ pub fn compile_with(prog: &CheckedProgram, opts: CompileOptions) -> VmProgram {
     }
 }
 
-/// A compile-time literal, the domain of the constant folder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Lit {
-    Int(i64),
-    Bool(bool),
-}
-
-/// Folds an all-literal int/bool operator tree to its value, counting the
-/// operators eliminated. Returns `None` whenever lowering must keep the
-/// runtime behaviour observable: any non-literal subexpression, string
-/// operands (pooled, not folded), division or remainder by a literal zero
-/// (the runtime error must still fire), or mismatched `==`/`!=` operands.
-/// Literal operands are pure, so short-circuit `&&`/`||` fold soundly
-/// when both sides are literals. Recursion depth is bounded by the
-/// parser's expression-nesting limit.
-fn const_fold(e: &CExpr) -> Option<(Lit, u64)> {
+/// Folds an all-literal int/bool operator tree to its value with the
+/// engines' own operator rules ([`rules::binop`], [`rules::unop`]),
+/// counting the operators eliminated. Returns `None` whenever lowering
+/// must keep the runtime behaviour observable: any non-literal
+/// subexpression, string operands (pooled, not folded), and every
+/// operator whose run-time rule errs — division or remainder by a literal
+/// zero, or mismatched `==`/`!=` operands. Both engines evaluate `&&` and
+/// `||` as control flow, so they fold here: literal operands are pure.
+/// Recursion depth is bounded by the parser's expression-nesting limit.
+fn const_fold(e: &CExpr) -> Option<(Value, u64)> {
     match e {
-        CExpr::Int(n) => Some((Lit::Int(*n), 0)),
-        CExpr::Bool(b) => Some((Lit::Bool(*b), 0)),
+        CExpr::Int(n) => Some((Value::Int(*n), 0)),
+        CExpr::Bool(b) => Some((Value::Bool(*b), 0)),
         CExpr::Un(op, inner) => {
             let (v, n) = const_fold(inner)?;
-            let out = match (op, v) {
-                (jns_syntax::UnOp::Not, Lit::Bool(b)) => Lit::Bool(!b),
-                (jns_syntax::UnOp::Neg, Lit::Int(i)) => Lit::Int(i.wrapping_neg()),
-                _ => return None,
-            };
-            Some((out, n + 1))
+            Some((rules::unop(*op, v).ok()?, n + 1))
         }
         CExpr::Bin(op, l, r) => {
             let (lv, ln) = const_fold(l)?;
             let (rv, rn) = const_fold(r)?;
-            let out = apply_bin(*op, lv, rv)?;
+            let out = match (op, &lv, &rv) {
+                (BinOp::And, Value::Bool(a), Value::Bool(b)) => Value::Bool(*a && *b),
+                (BinOp::Or, Value::Bool(a), Value::Bool(b)) => Value::Bool(*a || *b),
+                _ => rules::binop(*op, lv, rv).ok()?,
+            };
             Some((out, ln + rn + 1))
         }
         _ => None,
     }
-}
-
-fn apply_bin(op: BinOp, l: Lit, r: Lit) -> Option<Lit> {
-    use BinOp::*;
-    Some(match (op, l, r) {
-        (Add, Lit::Int(a), Lit::Int(b)) => Lit::Int(a.wrapping_add(b)),
-        (Sub, Lit::Int(a), Lit::Int(b)) => Lit::Int(a.wrapping_sub(b)),
-        (Mul, Lit::Int(a), Lit::Int(b)) => Lit::Int(a.wrapping_mul(b)),
-        (Div, Lit::Int(a), Lit::Int(b)) if b != 0 => Lit::Int(a.wrapping_div(b)),
-        (Rem, Lit::Int(a), Lit::Int(b)) if b != 0 => Lit::Int(a.wrapping_rem(b)),
-        (Lt, Lit::Int(a), Lit::Int(b)) => Lit::Bool(a < b),
-        (Le, Lit::Int(a), Lit::Int(b)) => Lit::Bool(a <= b),
-        (Gt, Lit::Int(a), Lit::Int(b)) => Lit::Bool(a > b),
-        (Ge, Lit::Int(a), Lit::Int(b)) => Lit::Bool(a >= b),
-        (Eq, Lit::Int(a), Lit::Int(b)) => Lit::Bool(a == b),
-        (Ne, Lit::Int(a), Lit::Int(b)) => Lit::Bool(a != b),
-        (Eq, Lit::Bool(a), Lit::Bool(b)) => Lit::Bool(a == b),
-        (Ne, Lit::Bool(a), Lit::Bool(b)) => Lit::Bool(a != b),
-        (And, Lit::Bool(a), Lit::Bool(b)) => Lit::Bool(a && b),
-        (Or, Lit::Bool(a), Lit::Bool(b)) => Lit::Bool(a || b),
-        _ => return None,
-    })
 }
 
 /// A type entry plus the compile-only flag marking `new` usage.
@@ -348,8 +320,9 @@ impl<'p> Compiler<'p> {
             if let Some((lit, ops)) = const_fold(e) {
                 self.folded += ops;
                 code.push(match lit {
-                    Lit::Int(n) => Instr::ConstInt(n),
-                    Lit::Bool(b) => Instr::ConstBool(b),
+                    Value::Int(n) => Instr::ConstInt(n),
+                    Value::Bool(b) => Instr::ConstBool(b),
+                    other => unreachable!("int/bool operators folded to {other:?}"),
                 });
                 return;
             }

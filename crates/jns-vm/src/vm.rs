@@ -23,20 +23,28 @@
 //!    shape twice costs two hash lookups.
 //!
 //! Observable behaviour (printed output, final value, error variants and
-//! messages) matches the tree-walking interpreter; the differential suite
-//! (`tests/vm_differential.rs` at the workspace root) and the generated-
-//! program soundness proptests (`tests/soundness.rs`, which run every
-//! generated program on both backends) enforce this. The one intentional
+//! messages) matches the tree-walking interpreter. The rules both engines
+//! apply alike come from one place: the operators, `==`, the condition
+//! checks, `print`'s format, the `view! ≤ target` judgment, the
+//! interpreted field type, case 2 of `view` and the run-time error texts
+//! from [`jns_eval::rules`], method lookup from
+//! [`CheckedProgram::mbody`], and collection from the shared heap's
+//! [`Heap::collect_if_due`]. What the VM does its own way — bytecode,
+//! slots, inline caches, memo tables, GC roots, fusion — the
+//! differential suite (`tests/vm_differential.rs` at the workspace root)
+//! and the generated-program soundness proptests (`tests/soundness.rs`,
+//! which run every generated program on both backends) compare against
+//! the interpreter. The one intentional
 //! difference is *step accounting*: [`Stats::steps`] counts VM
 //! instructions rather than AST nodes, so fuel limits are measured in
 //! instructions (both backends still interrupt runaway programs with
 //! [`RtError::OutOfFuel`]).
 
 use crate::bytecode::{Instr, TrapKind, VmProgram};
+use jns_eval::rules::{self, ViewMiss};
 use jns_eval::value::MaskSet;
 use jns_eval::{Heap, Loc, RefVal, RtError, RunConfig, Stats, Value, DEFAULT_MAX_DEPTH};
-use jns_syntax::{BinOp, UnOp};
-use jns_types::{CheckedProgram, ClassId, Judge, Name, Ty, TypeEnv};
+use jns_types::{CheckedProgram, ClassId, Name, Ty};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -73,13 +81,6 @@ struct FieldRes {
 struct SetRes {
     copy: ClassId,
     slot: Option<u32>,
-}
-
-/// Why a memoised partner search failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PartnerErr {
-    NoneFound,
-    Ambiguous,
 }
 
 /// The explicit execution state of one activation — the chunk, program
@@ -190,7 +191,7 @@ pub struct Vm<'p> {
     /// Memoised `view! ≤ target` checks.
     sub_memo: HashMap<(ClassId, u32), bool>,
     /// Memoised unique-partner-under-target searches.
-    partner_memo: HashMap<(ClassId, u32), Result<ClassId, PartnerErr>>,
+    partner_memo: HashMap<(ClassId, u32), Result<ClassId, ViewMiss>>,
     /// Per type-table entry: interned pre-evaluated (target, full mask
     /// set — dependent ∪ declared).
     pre_view: Vec<Option<(u32, MaskSet)>>,
@@ -395,24 +396,19 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Runs a collection if the heap has reached its threshold. Roots:
-    /// every saved frame's locals and operand stack (the executing frame
-    /// is parked on [`Vm::frames`] around allocations) plus the `this`
+    /// The GC point ([`Heap::collect_if_due`]) with the VM's roots: every
+    /// saved frame's locals and operand stack (the executing frame is
+    /// parked on [`Vm::frames`] around allocations) plus the `this`
     /// references and pending record values of allocations in flight.
     fn maybe_gc(&mut self) {
-        let Some(kind) = self.heap.pending_collection() else {
-            return;
-        };
-        // Pause timing feeds the trace event only, so the clock is read
-        // just when a buffer is attached.
-        let start = self.trace.as_ref().map(|_| std::time::Instant::now());
         let Vm {
             heap,
             frames,
             alloc_stack,
+            trace,
             ..
         } = self;
-        let reclaimed = heap.collect_kind(kind, |visit| {
+        heap.collect_if_due(trace.as_mut(), |visit| {
             for fr in frames.iter_mut() {
                 for v in fr.locals.iter_mut().chain(fr.stack.iter_mut()) {
                     if let Value::Ref(r) = v {
@@ -431,15 +427,6 @@ impl<'p> Vm<'p> {
                 }
             }
         });
-        if let Some(t) = self.trace.as_mut() {
-            t.push(jns_obs::TraceEvent::Gc {
-                kind: kind.label(),
-                reclaimed: reclaimed as u64,
-                live: self.heap.len() as u64,
-                peak_live: self.heap.gc_stats().peak_live,
-                pause_us: start.map_or(0, |s| s.elapsed().as_micros() as u64),
-            });
-        }
     }
 
     /// Records one inline-cache miss resolution, when tracing.
@@ -555,12 +542,9 @@ impl<'p> Vm<'p> {
         r
     }
 
-    /// Formats a value the way `print` shows it (same as the interpreter).
+    /// Formats a value the way `print` shows it ([`rules::display_value`]).
     pub fn display_value(&self, v: &Value) -> String {
-        match v {
-            Value::Ref(r) => format!("{}@{}", self.prog.table.class_name(r.view), r.loc),
-            other => other.to_string(),
-        }
+        rules::display_value(self.prog, v)
     }
 
     /// Number of live heap objects (for tests).
@@ -706,18 +690,12 @@ impl<'p> Vm<'p> {
                     Instr::Bin(op) => {
                         let rv = cur.stack.pop().expect("bin underflow");
                         let lv = cur.stack.pop().expect("bin underflow");
-                        let out = self.binop(*op, lv, rv)?;
-                        cur.stack.push(out);
+                        cur.stack.push(rules::binop(*op, lv, rv)?);
                         Flow::Next
                     }
                     Instr::Un(op) => {
                         let v = cur.stack.pop().expect("un underflow");
-                        let out = match (op, v) {
-                            (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
-                            (UnOp::Neg, Value::Int(n)) => Value::Int(n.wrapping_neg()),
-                            _ => return Err(type_err("bad unary operand")),
-                        };
-                        cur.stack.push(out);
+                        cur.stack.push(rules::unop(*op, v)?);
                         Flow::Next
                     }
                     Instr::Jump(t) => {
@@ -726,8 +704,7 @@ impl<'p> Vm<'p> {
                     }
                     Instr::JumpIfFalse(t, kind) => {
                         let c = cur.stack.pop().expect("jump underflow");
-                        let b = c.as_bool().ok_or_else(|| type_err(kind.message()))?;
-                        if !b {
+                        if !kind.test(&c)? {
                             cur.pc = *t as usize;
                             Flow::Jump
                         } else {
@@ -736,8 +713,7 @@ impl<'p> Vm<'p> {
                     }
                     Instr::JumpIfTrue(t, kind) => {
                         let c = cur.stack.pop().expect("jump underflow");
-                        let b = c.as_bool().ok_or_else(|| type_err(kind.message()))?;
-                        if b {
+                        if kind.test(&c)? {
                             cur.pc = *t as usize;
                             Flow::Jump
                         } else {
@@ -746,8 +722,7 @@ impl<'p> Vm<'p> {
                     }
                     Instr::Print => {
                         let v = cur.stack.pop().expect("print underflow");
-                        let s = self.display_value(&v);
-                        self.output.push(s);
+                        self.output.push(rules::display_value(self.prog, &v));
                         cur.stack.push(Value::Unit);
                         Flow::Next
                     }
@@ -768,21 +743,18 @@ impl<'p> Vm<'p> {
                     Instr::LoadLoadBin { a, b, op } => {
                         let lv = cur.locals[*a as usize].clone();
                         let rv = cur.locals[*b as usize].clone();
-                        let out = self.binop(*op, lv, rv)?;
-                        cur.stack.push(out);
+                        cur.stack.push(rules::binop(*op, lv, rv)?);
                         Flow::Next
                     }
                     Instr::ConstIntBin { n, op } => {
                         let lv = cur.stack.pop().expect("bin underflow");
-                        let out = self.binop(*op, lv, Value::Int(*n))?;
-                        cur.stack.push(out);
+                        cur.stack.push(rules::binop(*op, lv, Value::Int(*n))?);
                         Flow::Next
                     }
                     Instr::ConstIntBinJif { n, op, t, kind } => {
                         let lv = cur.stack.pop().expect("bin underflow");
-                        let c = self.binop(*op, lv, Value::Int(*n))?;
-                        let b = c.as_bool().ok_or_else(|| type_err(kind.message()))?;
-                        if !b {
+                        let c = rules::binop(*op, lv, Value::Int(*n))?;
+                        if !kind.test(&c)? {
                             cur.pc = *t as usize;
                             Flow::Jump
                         } else {
@@ -808,7 +780,7 @@ impl<'p> Vm<'p> {
 
     /// Field read (`GetField` / `LoadGetField`): `v` is the receiver.
     fn op_get(&mut self, st: &mut ExecState, v: Value, f: Name, ic: u32) -> Result<Flow, RtError> {
-        let r = self.expect_ref(v)?;
+        let r = rules::expect_ref(v)?;
         let res = self.site_field_res(ic, r.view, f);
         let out = self.get_field_resolved(&r, f, &res)?;
         st.stack.push(out);
@@ -856,13 +828,13 @@ impl<'p> Vm<'p> {
         ic: u32,
         recv_on_stack: bool,
     ) -> Result<Flow, RtError> {
-        let r = self.expect_ref(recv)?;
+        let r = rules::expect_ref(recv)?;
         self.stats.calls += 1;
         if self.depth >= self.max_depth {
             return Err(RtError::DepthExceeded(self.max_depth));
         }
         let Some(chunk) = self.site_call_res(ic, r.view, m) else {
-            return Err(self.no_method(r.view, m));
+            return Err(rules::no_method(self.prog, r.view, m));
         };
         if self.code.chunks[chunk].n_params as usize != argc {
             return Err(RtError::TypeMismatch("arity".into()));
@@ -918,7 +890,7 @@ impl<'p> Vm<'p> {
     /// `(view T)e`.
     fn op_view(&mut self, st: &mut ExecState, ty: u32) -> Result<Flow, RtError> {
         let v = st.stack.pop().expect("view underflow");
-        let r = self.expect_ref(v)?;
+        let r = rules::expect_ref(v)?;
         self.stats.views_explicit += 1;
         // The interned mask set already includes the masks declared on
         // the source type.
@@ -934,15 +906,11 @@ impl<'p> Vm<'p> {
         match v {
             Value::Ref(r) => {
                 let (tid, _masks) = self.eval_type_interned(ty, &st.locals)?;
-                if self.view_subtype(r.view, tid) {
-                    st.stack.push(Value::Ref(r));
-                } else {
-                    return Err(RtError::CastFailed(format!(
-                        "view `{}` is not a `{}`",
-                        self.prog.table.class_name(r.view),
-                        self.prog.table.show_ty(&self.ty_pool[tid as usize])
-                    )));
+                if !self.view_subtype(r.view, tid) {
+                    let target = &self.ty_pool[tid as usize];
+                    return Err(rules::cast_failed(self.prog, r.view, target));
                 }
+                st.stack.push(Value::Ref(r));
             }
             prim => st.stack.push(prim), // primitive casts are no-ops
         }
@@ -1035,7 +1003,7 @@ impl<'p> Vm<'p> {
     ) -> Result<Value, RtError> {
         let stored = {
             let Some(obj) = self.heap.obj(r.loc) else {
-                return Err(self.uninitialised(r, f));
+                return Err(rules::uninitialised(self.prog, r, f));
             };
             let mut stored = obj.read(res.copy, res.slot, f);
             if stored.is_none() {
@@ -1049,7 +1017,7 @@ impl<'p> Vm<'p> {
             }
             match stored {
                 Some(v) => v,
-                None => return Err(self.uninitialised(r, f)),
+                None => return Err(rules::uninitialised(self.prog, r, f)),
             }
         };
         match stored {
@@ -1061,15 +1029,6 @@ impl<'p> Vm<'p> {
             }
             prim => Ok(prim),
         }
-    }
-
-    fn uninitialised(&self, r: &RefVal, f: Name) -> RtError {
-        RtError::UninitialisedField(format!(
-            "{}.{} (view {})",
-            r.loc,
-            self.prog.table.name_str(f),
-            self.prog.table.class_name(r.view)
-        ))
     }
 
     fn write_cell(&mut self, loc: Loc, copy: ClassId, slot: Option<u32>, f: Name, v: Value) {
@@ -1090,7 +1049,7 @@ impl<'p> Vm<'p> {
             .iter()
             .map(|&alt| (alt, layout.slots.get(&(alt, f)).copied()))
             .collect();
-        let ft = match self.field_view_type(view, f) {
+        let ft = match rules::field_view_type(self.prog, view, f) {
             Ok((ty, masks)) => {
                 let tid = self.intern_ty(ty);
                 Ok((tid, self.intern_masks(masks)))
@@ -1105,16 +1064,6 @@ impl<'p> Vm<'p> {
         });
         self.field_res.insert((view, f), res.clone());
         res
-    }
-
-    /// The field type of `f` interpreted in `view` (the type driving the
-    /// lazy implicit view change), canonicalised.
-    fn field_view_type(&self, view: ClassId, f: Name) -> Result<(Ty, BTreeSet<Name>), String> {
-        let env = TypeEnv::new();
-        let judge = Judge::new(&self.prog.table, &env);
-        let recv = Ty::Class(view).exact().unmasked();
-        let ft = judge.ftype(&recv, f)?;
-        Ok((judge.canon(&ft.ty), ft.masks))
     }
 
     // -------------------------------------------------------------- layout
@@ -1275,14 +1224,6 @@ impl<'p> Vm<'p> {
         c
     }
 
-    fn no_method(&self, view: ClassId, m: Name) -> RtError {
-        RtError::TypeMismatch(format!(
-            "no method `{}` on view `{}`",
-            self.prog.table.name_str(m),
-            self.prog.table.class_name(view)
-        ))
-    }
-
     /// Public view-based dispatch entry (mirrors `Machine::call`).
     pub fn call(&mut self, r: RefVal, m: Name, args: Vec<Value>) -> Result<Value, RtError> {
         self.stats.calls += 1;
@@ -1290,7 +1231,7 @@ impl<'p> Vm<'p> {
             return Err(RtError::DepthExceeded(self.max_depth));
         }
         let Some(chunk) = self.resolve_method(r.view, m) else {
-            return Err(self.no_method(r.view, m));
+            return Err(rules::no_method(self.prog, r.view, m));
         };
         let info = &self.code.chunks[chunk];
         if info.n_params as usize != args.len() {
@@ -1308,26 +1249,16 @@ impl<'p> Vm<'p> {
         out
     }
 
-    /// `mbody(S, m)` as a chunk index: BFS over supers from the view,
-    /// first class with an explicit body wins. Memoised per (view, m).
+    /// `mbody(S, m)` ([`CheckedProgram::mbody`]) as a chunk index,
+    /// memoised per (view, m).
     fn resolve_method(&mut self, view: ClassId, m: Name) -> Option<usize> {
         if let Some(&r) = self.dispatch.get(&(view, m)) {
             return r;
         }
-        let mut queue = std::collections::VecDeque::from([view]);
-        let mut seen = std::collections::HashSet::from([view]);
-        let mut found = None;
-        while let Some(q) = queue.pop_front() {
-            if let Some(&c) = self.code.methods.get(&(q, m)) {
-                found = Some(c);
-                break;
-            }
-            for s in self.prog.table.direct_supers(q) {
-                if seen.insert(s) {
-                    queue.push_back(s);
-                }
-            }
-        }
+        let found = self
+            .prog
+            .mbody(view, m)
+            .and_then(|(owner, _)| self.code.methods.get(&(owner, m)).copied());
         self.dispatch.insert((view, m), found);
         found
     }
@@ -1360,31 +1291,19 @@ impl<'p> Vm<'p> {
         if let Some(&b) = self.sub_memo.get(&(view, tid)) {
             return b;
         }
-        let target = self.ty_pool[tid as usize].clone();
-        let env = TypeEnv::new();
-        let judge = Judge::new(&self.prog.table, &env);
-        let b = judge.sub_pure(&Ty::Class(view).exact(), &target);
+        let b = rules::view_subtype(self.prog, view, &self.ty_pool[tid as usize]);
         self.sub_memo.insert((view, tid), b);
         b
     }
 
-    /// The unique sharing partner of `view` under `target` (memoised).
-    fn partner_for(&mut self, view: ClassId, tid: u32) -> Result<ClassId, PartnerErr> {
+    /// The unique sharing partner of `view` under `target`
+    /// ([`rules::unique_partner`], memoised).
+    fn partner_for(&mut self, view: ClassId, tid: u32) -> Result<ClassId, ViewMiss> {
         if let Some(r) = self.partner_memo.get(&(view, tid)) {
             return *r;
         }
         let partners = self.prog.sharing.partners(view);
-        let mut candidates = Vec::new();
-        for p in partners {
-            if p != view && self.view_subtype(p, tid) {
-                candidates.push(p);
-            }
-        }
-        let r = match candidates.len() {
-            1 => Ok(candidates[0]),
-            0 => Err(PartnerErr::NoneFound),
-            _ => Err(PartnerErr::Ambiguous),
-        };
+        let r = rules::unique_partner(partners, view, |p| self.view_subtype(p, tid));
         self.partner_memo.insert((view, tid), r);
         r
     }
@@ -1420,16 +1339,7 @@ impl<'p> Vm<'p> {
                 view: p,
                 masks,
             }),
-            Err(PartnerErr::NoneFound) => Err(RtError::ViewFailed(format!(
-                "`{}` has no shared view under `{}`",
-                self.prog.table.class_name(r.view),
-                self.prog.table.show_ty(&self.ty_pool[tid as usize])
-            ))),
-            Err(PartnerErr::Ambiguous) => Err(RtError::ViewFailed(format!(
-                "ambiguous view change from `{}` to `{}`",
-                self.prog.table.class_name(r.view),
-                self.prog.table.show_ty(&self.ty_pool[tid as usize])
-            ))),
+            Err(miss) => Err(miss.error(self.prog, r.view, &self.ty_pool[tid as usize])),
         }
     }
 
@@ -1503,48 +1413,6 @@ impl<'p> Vm<'p> {
         let ty = entry.ty.clone();
         jns_eval::typeeval::eval_type_class_in(self, &|n| env.get(&n).cloned(), &ty)
     }
-
-    // ---------------------------------------------------------- operators
-
-    fn expect_ref(&self, v: Value) -> Result<RefVal, RtError> {
-        match v {
-            Value::Ref(r) => Ok(r),
-            other => Err(RtError::TypeMismatch(format!(
-                "expected an object, got `{other}`"
-            ))),
-        }
-    }
-
-    fn binop(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, RtError> {
-        use BinOp::*;
-        Ok(match (op, &l, &r) {
-            (Add, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
-            (Sub, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_sub(*b)),
-            (Mul, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_mul(*b)),
-            (Div, Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    return Err(RtError::DivisionByZero);
-                }
-                Value::Int(a.wrapping_div(*b))
-            }
-            (Rem, Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    return Err(RtError::DivisionByZero);
-                }
-                Value::Int(a.wrapping_rem(*b))
-            }
-            (Add, Value::Str(a), Value::Str(b)) => {
-                Value::Str(Arc::from(format!("{a}{b}").as_str()))
-            }
-            (Lt, Value::Int(a), Value::Int(b)) => Value::Bool(a < b),
-            (Le, Value::Int(a), Value::Int(b)) => Value::Bool(a <= b),
-            (Gt, Value::Int(a), Value::Int(b)) => Value::Bool(a > b),
-            (Ge, Value::Int(a), Value::Int(b)) => Value::Bool(a >= b),
-            (Eq, a, b) => Value::Bool(value_eq(a, b)?),
-            (Ne, a, b) => Value::Bool(!value_eq(a, b)?),
-            _ => return Err(type_err("bad binary operands")),
-        })
-    }
 }
 
 impl jns_eval::typeeval::TypeEvalCtx for Vm<'_> {
@@ -1555,20 +1423,4 @@ impl jns_eval::typeeval::TypeEvalCtx for Vm<'_> {
     fn checked_program(&self) -> &CheckedProgram {
         self.prog
     }
-}
-
-/// `==`: primitive equality, or *location* equality on references (§2.3).
-fn value_eq(l: &Value, r: &Value) -> Result<bool, RtError> {
-    Ok(match (l, r) {
-        (Value::Int(a), Value::Int(b)) => a == b,
-        (Value::Bool(a), Value::Bool(b)) => a == b,
-        (Value::Str(a), Value::Str(b)) => a == b,
-        (Value::Unit, Value::Unit) => true,
-        (Value::Ref(a), Value::Ref(b)) => a.loc == b.loc,
-        _ => return Err(type_err("`==` on mismatched values")),
-    })
-}
-
-fn type_err(m: &str) -> RtError {
-    RtError::TypeMismatch(m.to_string())
 }

@@ -33,7 +33,8 @@
 //!   jns check [--stats] <file.jns>
 //!       type-check only; `--stats` prints the parse and check times,
 //!       the check split into resolve, sharing, bodies and constraints
-//!       (`jns run --stats` prints the same line first)
+//!       (`jns run --stats` prints the same line first). `--stats` is
+//!       the only flag: a `jns run` flag here is a usage error
 //!   jns serve [--workers N] [--requests N] [--queue N] [RUN FLAGS] <file.jns>
 //!       compile once, then replay the program's entrypoint N times
 //!       across a pool of worker VMs and report throughput. RUN FLAGS
@@ -172,6 +173,14 @@ impl RunFlags {
         })
     }
 
+    /// The compiler these flags configure for `backend`.
+    fn compiler(&self, backend: Backend) -> Compiler {
+        Compiler::new()
+            .with_backend(backend)
+            .with_fusion(self.fuse)
+            .with_config(self.run)
+    }
+
     /// The stride to arm the VM's sampler with: only when an output will
     /// carry the samples — `--profile-folded`, or `--profile-json` with
     /// an explicit `--sample-stride`.
@@ -307,11 +316,7 @@ fn print_stats(out: &RunOutput, total_chunks: usize) {
     }
 }
 
-fn compile_file(
-    path: &str,
-    backend: Backend,
-    flags: &RunFlags,
-) -> Result<jns_core::Compiled, ExitCode> {
+fn compile_file(path: &str, compiler: Compiler) -> Result<jns_core::Compiled, ExitCode> {
     let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -319,10 +324,6 @@ fn compile_file(
             return Err(ExitCode::FAILURE);
         }
     };
-    let compiler = Compiler::new()
-        .with_backend(backend)
-        .with_fusion(flags.fuse)
-        .with_config(flags.run);
     match compiler.compile(&src) {
         Ok(c) => Ok(c),
         Err(e) => {
@@ -355,21 +356,14 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
         eprintln!("error: --profile-folded / --sample-stride need --vm (the sampler lives in the VM dispatch loop)");
         return ExitCode::FAILURE;
     }
-    let (check_only, path) = match args.as_slice() {
-        [cmd, path] if cmd == "run" || cmd == "check" => (cmd == "check", path.clone()),
-        _ => return usage(),
+    let [_, path] = args.as_slice() else {
+        return usage();
     };
-    let compiled = match compile_file(&path, backend, &flags) {
+    let path = path.clone();
+    let compiled = match compile_file(&path, flags.compiler(backend)) {
         Ok(c) => c,
         Err(code) => return code,
     };
-    if check_only {
-        println!("ok");
-        if flags.stats {
-            print_front_end(&compiled);
-        }
-        return ExitCode::SUCCESS;
-    }
     // With --trace, seed the buffer with the front-end phase events
     // before the run appends GC and inline-cache-miss events.
     let trace_buf = flags.trace.as_ref().map(|_| {
@@ -433,6 +427,27 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
             eprintln!("runtime error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// `jns check [--stats] <file.jns>`: any other argument is a usage error.
+fn cmd_check(mut args: Vec<String>) -> ExitCode {
+    let stats = take_flag(&mut args, "--stats");
+    let [_, path] = args.as_slice() else {
+        return usage();
+    };
+    if path.starts_with("--") {
+        return usage();
+    }
+    match compile_file(path, Compiler::new()) {
+        Ok(compiled) => {
+            println!("ok");
+            if stats {
+                print_front_end(&compiled);
+            }
+            ExitCode::SUCCESS
+        }
+        Err(code) => code,
     }
 }
 
@@ -522,7 +537,7 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
     let [_, path] = args.as_slice() else {
         return usage();
     };
-    let compiled = match compile_file(path, Backend::Vm, &flags) {
+    let compiled = match compile_file(path, flags.compiler(Backend::Vm)) {
         Ok(c) => c,
         Err(code) => return code,
     };
@@ -846,7 +861,8 @@ fn cmd_trace_report(args: Vec<String>) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("run") | Some("check") => cmd_run(args),
+        Some("run") => cmd_run(args),
+        Some("check") => cmd_check(args),
         Some("serve") => cmd_serve(args),
         Some("bench") => cmd_bench(args),
         Some("trace-report") => cmd_trace_report(args),

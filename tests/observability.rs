@@ -19,6 +19,8 @@
 //!   One request on one worker writes the same profile counters as a
 //!   single VM run under the same flags, and both commands reject a
 //!   malformed limit with the same message.
+//! - **`jns check` takes only `--stats`.** Every `jns run` flag is a
+//!   usage error there, and no artifact gets written.
 
 use jns_core::{Backend, Compiler, RunOptions, RunOutput};
 use jns_obs::{Json, TraceBuffer, TraceEvent};
@@ -387,5 +389,42 @@ fn run_and_serve_apply_the_same_limit_flags() {
             "error: --heap-limit: bad number `abc`\n"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `jns check` takes `--stats` and the path, nothing else: each `jns run`
+/// flag is a usage error that writes no file, where it used to be parsed
+/// and silently ignored.
+#[test]
+fn check_takes_only_stats_and_rejects_run_flags() {
+    let dir = std::env::temp_dir().join(format!("jns-check-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("prog.jns");
+    std::fs::write(&path, PAPER_EXAMPLES[0].1).expect("write program");
+    let artifact = dir.join("artifact");
+    let artifact_arg = artifact.to_str().expect("utf-8 temp path");
+    let flag_sets: [&[&str]; 4] = [
+        &["--trace", artifact_arg],
+        &["--profile-json", artifact_arg],
+        &["--vm"],
+        &["--heap-limit", "3"],
+    ];
+    for flags in flag_sets {
+        let out = jns(&[&["check"][..], flags].concat(), &path);
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{flags:?}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).starts_with("usage: "),
+            "{flags:?}: {out:?}"
+        );
+        assert!(!artifact.exists(), "{flags:?} wrote {artifact:?}");
+    }
+    let out = jns(&["check", "--stats"], &path);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "ok\n");
+    assert!(
+        String::from_utf8_lossy(&out.stderr).starts_with("front end "),
+        "{out:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
