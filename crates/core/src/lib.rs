@@ -31,6 +31,7 @@
 pub mod lambda;
 pub mod service;
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 pub use jns_eval::{Machine, RtError, RunConfig, Stats, Value};
@@ -229,8 +230,14 @@ pub struct Compiled {
 pub struct RunOutput {
     /// Lines produced by `print`.
     pub output: Vec<String>,
-    /// The final value of `main`.
+    /// The final value of `main`. A reference's [`jns_eval::MaskId`] is
+    /// local to the engine that ran it: compare references from two runs
+    /// by `loc`, `view` and [`RunOutput::value_masks`].
     pub value: Value,
+    /// The mask set of `value`, resolved through the engine's table
+    /// before the engine is dropped (empty unless `value` is a
+    /// reference).
+    pub value_masks: BTreeSet<jns_types::Name>,
     /// Execution statistics.
     pub stats: Stats,
     /// Per-chunk executed-instruction counts, most executed first (VM
@@ -311,6 +318,7 @@ impl Compiled {
                 let value = m.run()?;
                 Ok(RunOutput {
                     output: std::mem::take(&mut m.output),
+                    value_masks: resolved_masks(&value, m.mask_table()),
                     value,
                     stats: m.stats,
                     chunk_profile: Vec::new(),
@@ -335,6 +343,7 @@ impl Compiled {
                 });
                 Ok(RunOutput {
                     output: std::mem::take(&mut vm.output),
+                    value_masks: resolved_masks(&value, vm.mask_table()),
                     value,
                     stats: vm.stats,
                     chunk_profile: vm.profile(),
@@ -384,6 +393,15 @@ impl Compiled {
             code: std::sync::Arc::clone(self.bytecode()),
         }
     }
+}
+
+/// The set a final value's mask id names in `table` (empty for a
+/// non-reference).
+fn resolved_masks(value: &Value, table: &jns_eval::MaskTable) -> BTreeSet<jns_types::Name> {
+    value
+        .as_ref_val()
+        .map(|r| table.get(r.masks).clone())
+        .unwrap_or_default()
 }
 
 /// A per-thread handle onto one compiled program: shared immutable

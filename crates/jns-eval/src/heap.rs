@@ -492,19 +492,13 @@ fn mark(marked: &mut [bool], work: &mut Vec<Loc>, t: usize, loc: Loc) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::MaskSet;
-    use std::collections::BTreeSet;
-    use std::sync::Arc;
-
-    fn no_masks() -> MaskSet {
-        Arc::new(BTreeSet::new())
-    }
+    use crate::masks::MaskId;
 
     fn rv(loc: Loc) -> RefVal {
         RefVal {
             loc,
             view: ClassId::ROOT,
-            masks: no_masks(),
+            masks: MaskId::EMPTY,
         }
     }
 

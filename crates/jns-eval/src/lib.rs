@@ -25,6 +25,7 @@
 pub mod error;
 pub mod heap;
 pub mod machine;
+pub mod masks;
 pub mod rules;
 pub mod typeeval;
 pub mod value;
@@ -32,6 +33,7 @@ pub mod value;
 pub use error::RtError;
 pub use heap::{GcStats, Heap, Obj};
 pub use machine::{Machine, RunConfig, Stats, DEFAULT_MAX_DEPTH};
+pub use masks::{MaskId, MaskTable};
 pub use value::{Loc, RefVal, Value};
 
 /// Convenience: parse, check, and run a source program, returning the

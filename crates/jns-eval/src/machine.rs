@@ -43,9 +43,10 @@
 
 use crate::error::RtError;
 use crate::heap::{GcStats, Heap};
+use crate::masks::{MaskId, MaskTable};
 use crate::rules::{self, CondKind};
 use crate::typeeval;
-use crate::value::{Loc, MaskSet, RefVal, Value};
+use crate::value::{Loc, RefVal, Value};
 use jns_syntax::{BinOp, UnOp};
 use jns_types::{CExpr, CheckedProgram, ClassId, Name, Ty, Type};
 use std::collections::{BTreeSet, HashMap};
@@ -69,10 +70,12 @@ pub struct Stats {
     pub ic_hits: u64,
     /// Inline-cache misses (resolutions through the global tables).
     pub ic_misses: u64,
-    /// Fresh mask-set materialisations. The VM interns view-transition
-    /// mask sets, so repeated transitions reuse one `Arc` and this stays
-    /// far below `views_explicit + views_implicit`; the tree-walker pays
-    /// one per transition.
+    /// Mask sets this engine's [`MaskTable`] interned for the first time
+    /// (∅ counts once). Each engine interns every set its references
+    /// carry, so repeated transitions reuse one id and this stays far
+    /// below `views_explicit + views_implicit`. A reused VM keeps its
+    /// table across requests, so a warm request counts only the sets no
+    /// earlier request met.
     pub mask_allocs: u64,
     /// Tracing collections run by the shared heap (0 with no
     /// `--heap-limit`; see [`crate::heap::Heap`]).
@@ -242,6 +245,8 @@ pub struct Machine<'p> {
     depth: u32,
     max_depth: u32,
     sub_memo: HashMap<(ClassId, Ty), bool>,
+    /// The mask sets this machine's references carry.
+    masks: MaskTable,
     /// Optional structured-event sink (`None` keeps every hook a single
     /// branch, with byte-identical outputs and statistics).
     trace: Option<jns_obs::TraceBuffer>,
@@ -433,6 +438,7 @@ impl<'p> Machine<'p> {
             depth: 0,
             max_depth: DEFAULT_MAX_DEPTH,
             sub_memo: HashMap::new(),
+            masks: MaskTable::default(),
             trace: None,
         }
     }
@@ -637,17 +643,15 @@ impl<'p> Machine<'p> {
                     }
                     Kont::SetField { x, f } => {
                         let v = vals.pop().expect("setfield value");
-                        let Some(Value::Ref(r)) = frame.get(&x).cloned() else {
+                        let Some(Value::Ref(r)) = frame.get_mut(&x) else {
                             return Err(RtError::UnboundVariable(self.prog.table.name_str(x)));
                         };
                         let copy = self.prog.sharing.fclass(r.view, f);
                         self.heap.set(r.loc, copy, None, f, v.clone());
                         // grant(σ, x.f): the stack binding loses the mask (R-SET).
-                        if let Some(Value::Ref(r2)) = frame.get_mut(&x) {
-                            if r2.grant(&f) {
-                                self.stats.mask_allocs += 1;
-                            }
-                        }
+                        let (masks, fresh) = self.masks.grant(r.masks, f);
+                        r.masks = masks;
+                        self.stats.mask_allocs += u64::from(fresh);
                         vals.push(v);
                     }
                     Kont::CallRecv { m, args } => {
@@ -734,10 +738,7 @@ impl<'p> Machine<'p> {
                                 // Each initialiser runs in its own frame
                                 // holding only `this`.
                                 let mut f = Frame::new();
-                                f.insert(
-                                    self.prog.table.this_name,
-                                    Value::Ref(st.this_ref.clone()),
-                                );
+                                f.insert(self.prog.table.this_name, Value::Ref(st.this_ref));
                                 *frame = f;
                                 ctrl.push(Work::Kont(Kont::AllocInit(st)));
                                 ctrl.push(Work::Eval(init));
@@ -942,11 +943,10 @@ impl<'p> Machine<'p> {
         let all_fields: Vec<(ClassId, jns_types::FieldInfo)> = prog.table.fields_of(class);
         let masks: BTreeSet<Name> = all_fields.iter().map(|(_, fi)| fi.name).collect();
         // `this` during initialisation: all fields masked (F-OK).
-        self.stats.mask_allocs += 1;
         let this_ref = RefVal {
             loc,
             view: class,
-            masks: Arc::new(masks.clone()),
+            masks: self.intern(masks.clone()),
         };
         // Declared initialisers, base-most classes first.
         let inits: Vec<(Name, &'a CExpr)> = all_fields
@@ -979,7 +979,7 @@ impl<'p> Machine<'p> {
                     saved: Frame::new(),
                 });
                 let mut f0 = Frame::new();
-                f0.insert(prog.table.this_name, Value::Ref(st.this_ref.clone()));
+                f0.insert(prog.table.this_name, Value::Ref(st.this_ref));
                 st.saved = std::mem::replace(frame, f0);
                 ctrl.push(Work::Kont(Kont::AllocInit(st)));
                 ctrl.push(Work::Eval(first));
@@ -1001,11 +1001,10 @@ impl<'p> Machine<'p> {
             self.heap.set(loc, copy, None, fname, v);
             masks.remove(&fname);
         }
-        self.stats.mask_allocs += 1;
         Value::Ref(RefVal {
             loc,
             view: class,
-            masks: Arc::new(masks),
+            masks: self.intern(masks),
         })
     }
 
@@ -1070,24 +1069,19 @@ impl<'p> Machine<'p> {
 
     // -------------------------------------------------------------- views
 
-    /// The `view` function (§4.15): re-views `r` at target type `target`.
-    /// The tree-walker materialises one shared mask set per transition
-    /// (the VM interns them instead — see `Stats::mask_allocs`).
+    /// The `view` function (§4.15): re-views `r` at target type `target`
+    /// with mask set `masks`, which the machine's table interns (see
+    /// `Stats::mask_allocs`).
     pub fn apply_view(
         &mut self,
         r: RefVal,
         target: &Ty,
         masks: BTreeSet<Name>,
     ) -> Result<RefVal, RtError> {
-        self.stats.mask_allocs += 1;
-        let masks: MaskSet = Arc::new(masks);
+        let masks = self.intern(masks);
         // Case 1: current view already compatible.
-        if self.view_subtype(r.view, target) && r.masks.is_subset(&masks) {
-            return Ok(RefVal {
-                loc: r.loc,
-                view: r.view,
-                masks,
-            });
+        if self.view_subtype(r.view, target) && self.masks.is_subset(r.masks, masks) {
+            return Ok(RefVal { masks, ..r });
         }
         // Case 2: the unique shared partner below the target.
         let prog = self.prog;
@@ -1100,6 +1094,13 @@ impl<'p> Machine<'p> {
             }),
             Err(miss) => Err(miss.error(prog, r.view, target)),
         }
+    }
+
+    /// Interns `set`, counting a first-time set in `Stats::mask_allocs`.
+    fn intern(&mut self, set: BTreeSet<Name>) -> MaskId {
+        let (id, fresh) = self.masks.intern(set);
+        self.stats.mask_allocs += u64::from(fresh);
+        id
     }
 
     /// Whether view class `view` satisfies `view! ≤ target` (memoised).
@@ -1141,7 +1142,7 @@ impl<'p> Machine<'p> {
                 let Ok((ty, masks)) = rules::field_view_type(self.prog, view, f) else {
                     continue;
                 };
-                if self.apply_view(inner.clone(), &ty, masks).is_err() {
+                if self.apply_view(inner, &ty, masks).is_err() {
                     bad.push(format!(
                         "heap[{loc}, {}, {}] holds `{}` not viewable at `{}`",
                         self.prog.table.class_name(copy),
@@ -1163,5 +1164,10 @@ impl<'p> Machine<'p> {
     /// The program being executed.
     pub fn program(&self) -> &'p CheckedProgram {
         self.prog
+    }
+
+    /// The table this machine's references take their mask ids from.
+    pub fn mask_table(&self) -> &MaskTable {
+        &self.masks
     }
 }

@@ -36,7 +36,12 @@ pub fn binop(op: BinOp, l: Value, r: Value) -> Result<Value, RtError> {
         (Div | Rem, Value::Int(_), Value::Int(0)) => return Err(RtError::DivisionByZero),
         (Div, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_div(*b)),
         (Rem, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_rem(*b)),
-        (Add, Value::Str(a), Value::Str(b)) => Value::Str(Arc::from(format!("{a}{b}").as_str())),
+        (Add, Value::Str(a), Value::Str(b)) => {
+            let mut s = String::with_capacity(a.len() + b.len());
+            s.push_str(a);
+            s.push_str(b);
+            Value::Str(Arc::from(s))
+        }
         (Lt, Value::Int(a), Value::Int(b)) => Value::Bool(a < b),
         (Le, Value::Int(a), Value::Int(b)) => Value::Bool(a <= b),
         (Gt, Value::Int(a), Value::Int(b)) => Value::Bool(a > b),
@@ -217,6 +222,7 @@ pub fn no_method(prog: &CheckedProgram, view: ClassId, m: Name) -> RtError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::masks::MaskId;
     use crate::value::Loc;
 
     fn int(n: i64) -> Value {
@@ -227,7 +233,7 @@ mod tests {
         RefVal {
             loc,
             view,
-            masks: Arc::new(BTreeSet::new()),
+            masks: MaskId::EMPTY,
         }
     }
 

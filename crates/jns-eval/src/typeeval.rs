@@ -13,13 +13,15 @@
 
 use crate::error::RtError;
 use crate::machine::Machine;
+use crate::masks::MaskTable;
 use crate::value::{RefVal, Value};
 use jns_types::{CheckedProgram, ClassId, Name, Ty};
 use std::collections::{BTreeSet, HashMap};
 
 /// What type evaluation needs from an execution backend: field reads
 /// (for dependent paths `p.f1…fn.class`, which follow the backend's own
-/// heap and view-change machinery) and the program being run.
+/// heap and view-change machinery), the program being run, and the
+/// backend's mask table (a `p.class` root contributes its masks).
 pub trait TypeEvalCtx {
     /// Reads `r.f` through `r`'s view, with the backend's lazy implicit
     /// view change applied to the result.
@@ -27,6 +29,10 @@ pub trait TypeEvalCtx {
 
     /// The checked program being executed.
     fn checked_program(&self) -> &CheckedProgram;
+
+    /// The table the backend's references take their [`crate::MaskId`]s
+    /// from.
+    fn mask_table(&self) -> &MaskTable;
 }
 
 impl TypeEvalCtx for Machine<'_> {
@@ -36,6 +42,10 @@ impl TypeEvalCtx for Machine<'_> {
 
     fn checked_program(&self) -> &CheckedProgram {
         self.program()
+    }
+
+    fn mask_table(&self) -> &MaskTable {
+        Machine::mask_table(self)
     }
 }
 
@@ -85,16 +95,15 @@ fn go<C: TypeEvalCtx>(
                 RtError::UnboundVariable(ctx.checked_program().table.name_str(path.base))
             })?;
             for f in &path.fields {
-                let r = v
+                let r = *v
                     .as_ref_val()
-                    .cloned()
                     .ok_or_else(|| RtError::TypeMismatch("path through primitive".into()))?;
                 v = ctx.read_field(&r, *f)?;
             }
             let r = v
                 .as_ref_val()
                 .ok_or_else(|| RtError::TypeMismatch("`.class` of primitive".into()))?;
-            masks.extend(r.masks.iter().copied());
+            masks.extend(ctx.mask_table().get(r.masks).iter().copied());
             Ty::Class(r.view).exact()
         }
         Ty::Nested(inner, c) => {

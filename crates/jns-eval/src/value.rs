@@ -3,8 +3,9 @@
 //!
 //! Values are `Send + Sync` so one compiled program can serve many
 //! requests from a pool of worker threads (`jns-serve`): strings are
-//! `Arc<str>`, and mask sets are shared `Arc<BTreeSet<_>>`s that are only
-//! deep-copied when a `grant` actually shrinks a shared set.
+//! `Arc<str>`, and a reference's mask set is a [`MaskId`] into its
+//! engine's [`crate::MaskTable`], so a [`RefVal`] is a 12-byte `Copy`
+//! triple and loading, storing or passing one touches no reference count.
 //!
 //! # Teardown is iterative by construction
 //!
@@ -21,42 +22,30 @@
 //! child `Value`s directly, it needs an iterative `Drop` like the one on
 //! `jns_types::CExpr`.
 
-use jns_types::{ClassId, Name};
-use std::collections::BTreeSet;
+use crate::masks::MaskId;
+use jns_types::ClassId;
 use std::fmt;
 use std::sync::Arc;
 
 /// A heap location ℓ.
 pub type Loc = u32;
 
-/// A shared (interned or at least reference-counted) mask set. View
-/// transitions hand the same set to many references; `grant` uses
-/// copy-on-write.
-pub type MaskSet = Arc<BTreeSet<Name>>;
-
-/// A reference value ⟨ℓ, P!\f⟩: identity (`loc`) plus behaviour (`view`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A reference value ⟨ℓ, P!\f⟩: identity (`loc`) plus behaviour (`view`)
+/// plus masks.
+///
+/// `==` compares the mask *ids*, which is meaningful only between
+/// references of one engine: each engine has its own
+/// [`crate::MaskTable`], so compare references from two engines by `loc`,
+/// `view` and the sets their tables resolve the ids to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefVal {
     /// The heap location — object identity, preserved across view changes.
     pub loc: Loc,
     /// The current view: the exact class this reference sees.
     pub view: ClassId,
-    /// Masked (unreadable) fields of this reference (shared, copy-on-write).
-    pub masks: MaskSet,
-}
-
-impl RefVal {
-    /// `grant(σ, x.f)`: removes the mask on `f`, cloning the shared set
-    /// only when it actually contains `f`. Returns `true` if a deep copy
-    /// of the mask set was made (for allocation accounting).
-    pub fn grant(&mut self, f: &Name) -> bool {
-        if !self.masks.contains(f) {
-            return false;
-        }
-        let copied = Arc::strong_count(&self.masks) > 1;
-        Arc::make_mut(&mut self.masks).remove(f);
-        copied
-    }
+    /// Masked (unreadable) fields of this reference, interned in the
+    /// engine's [`crate::MaskTable`].
+    pub masks: MaskId,
 }
 
 /// A run-time value.
@@ -114,8 +103,11 @@ impl fmt::Display for Value {
 
 // Runtime values cross thread boundaries in `jns-serve`; keep them
 // `Send + Sync` (compile error here = a non-shareable type crept in).
+// References stay `Copy`, so moving one never touches a reference count.
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
+    fn assert_copy<T: Copy>() {}
     assert_send_sync::<Value>();
     assert_send_sync::<RefVal>();
+    assert_copy::<RefVal>();
 };

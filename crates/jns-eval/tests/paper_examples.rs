@@ -284,7 +284,7 @@ mod machine_api {
             .lookup_path(&[p.table.intern("A1"), p.table.intern("C")])
             .unwrap();
         let v = m.alloc(c, vec![]).unwrap();
-        let r = v.as_ref_val().unwrap().clone();
+        let r = *v.as_ref_val().unwrap();
         assert!(r.masks.is_empty(), "all fields initialised: {:?}", r.masks);
         let g = p.table.intern("g");
         let gv = m.get_field(&r, g).unwrap();
@@ -304,11 +304,9 @@ mod machine_api {
             .lookup_path(&[p.table.intern("A2"), p.table.intern("C")])
             .unwrap();
         let v = m.alloc(a1c, vec![]).unwrap();
-        let r = v.as_ref_val().unwrap().clone();
+        let r = *v.as_ref_val().unwrap();
         let target = jns_types::Ty::Class(a2c).exact();
-        let viewed = m
-            .apply_view(r.clone(), &target, Default::default())
-            .unwrap();
+        let viewed = m.apply_view(r, &target, Default::default()).unwrap();
         assert_eq!(viewed.loc, r.loc);
         assert_eq!(viewed.view, a2c);
         // Method dispatch through the new view runs A2's override and the
@@ -331,7 +329,7 @@ mod machine_api {
             .lookup_path(&[p.table.intern("A1"), p.table.intern("D")])
             .unwrap();
         let v = m.alloc(a1c, vec![]).unwrap();
-        let r = v.as_ref_val().unwrap().clone();
+        let r = *v.as_ref_val().unwrap();
         let target = jns_types::Ty::Class(a1d).exact();
         assert!(m.apply_view(r, &target, Default::default()).is_err());
     }
@@ -345,7 +343,7 @@ mod machine_api {
             .lookup_path(&[p.table.intern("A1"), p.table.intern("C")])
             .unwrap();
         let v = m.alloc(a1c, vec![]).unwrap();
-        let r = v.as_ref_val().unwrap().clone();
+        let r = *v.as_ref_val().unwrap();
         let probe = p.table.intern("probe");
         m.call(r, probe, vec![]).unwrap();
         assert_eq!(m.stats.allocs, 2, "C plus its D initialiser");

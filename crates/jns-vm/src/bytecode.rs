@@ -200,9 +200,8 @@ pub struct TypeEntry {
     /// The (possibly dependent) pure type.
     pub ty: Ty,
     /// Masks declared on the source type (`T\f`), empty for `new` types.
-    /// Interned: entries with the same mask set share one `Arc`, so a view
-    /// transition hands out a pointer instead of cloning a `BTreeSet`.
-    pub masks: Arc<BTreeSet<Name>>,
+    /// Each VM interns them (with the dependent masks) once per entry.
+    pub masks: BTreeSet<Name>,
     /// Frame slots of the dependent path roots (`None` = not in scope,
     /// which surfaces as the interpreter's unbound-variable error).
     pub bindings: Vec<(Name, Option<u16>)>,
@@ -235,9 +234,6 @@ pub struct VmProgram {
     pub strings: Vec<Arc<str>>,
     /// The type table.
     pub types: Vec<TypeEntry>,
-    /// Number of distinct interned mask sets across the type table (for
-    /// diagnostics; transitions reuse these instead of cloning).
-    pub n_mask_sets: u32,
     /// Operators folded away at lowering time (constant folding over
     /// literal int/bool operands; surfaced as `Stats::folded`).
     pub folded: u64,

@@ -42,7 +42,6 @@ pub fn compile_with(prog: &CheckedProgram, opts: CompileOptions) -> VmProgram {
         string_ids: HashMap::new(),
         types: Vec::new(),
         type_ids: HashMap::new(),
-        mask_pool: Default::default(),
         n_field_ics: 0,
         n_set_ics: 0,
         n_call_ics: 0,
@@ -113,7 +112,6 @@ pub fn compile_with(prog: &CheckedProgram, opts: CompileOptions) -> VmProgram {
         main,
         strings: c.strings,
         types: c.types.into_iter().map(|e| e.entry).collect(),
-        n_mask_sets: c.mask_pool.len() as u32,
         folded: c.folded,
         fused,
         n_field_ics: c.n_field_ics,
@@ -184,10 +182,6 @@ struct Compiler<'p> {
     string_ids: HashMap<String, u32>,
     types: Vec<PendingType>,
     type_ids: HashMap<TypeKey, u32>,
-    /// Mask-set interning pool: every distinct mask set written in the
-    /// program becomes one shared `Arc`, so view transitions at run time
-    /// hand out pointers instead of cloning `BTreeSet`s.
-    mask_pool: crate::maskpool::MaskPool,
     n_field_ics: u32,
     n_set_ics: u32,
     n_call_ics: u32,
@@ -265,11 +259,6 @@ impl<'p> Compiler<'p> {
         id
     }
 
-    /// Interns a mask set, returning the pool's shared `Arc`.
-    fn mask_set(&mut self, masks: &BTreeSet<Name>) -> Arc<BTreeSet<Name>> {
-        self.mask_pool.intern_ref(masks)
-    }
-
     /// Interns a type-table entry; bindings snapshot the slots of the
     /// dependent path roots at this program point.
     fn type_id(&mut self, scope: &Scope, ty: &Ty, masks: &BTreeSet<Name>, for_new: bool) -> u32 {
@@ -283,11 +272,10 @@ impl<'p> Compiler<'p> {
             return id;
         }
         let id = self.types.len() as u32;
-        let masks = self.mask_set(masks);
         self.types.push(PendingType {
             entry: TypeEntry {
                 ty: ty.clone(),
-                masks,
+                masks: masks.clone(),
                 bindings,
                 pre: None,
                 new_class: None,

@@ -41,7 +41,6 @@
 
 pub mod bytecode;
 pub mod compile;
-mod maskpool;
 pub mod vm;
 
 pub use bytecode::{Chunk, Instr, VmProgram};

@@ -19,8 +19,10 @@
 //!    questions — "is the current view already compatible?" and "which
 //!    partner sits under the target?" — depend only on (view, target
 //!    type), so both are memoised, as is the interpreted field type that
-//!    drives lazy implicit view changes. Re-viewing the same reference
-//!    shape twice costs two hash lookups.
+//!    drives lazy implicit view changes. Target types and mask sets are
+//!    interned ids (masks in the VM's [`MaskTable`]), so a reference is a
+//!    `Copy` triple and re-viewing the same reference shape twice costs
+//!    two hash lookups and no allocation or reference count.
 //!
 //! Observable behaviour (printed output, final value, error variants and
 //! messages) matches the tree-walking interpreter. The rules both engines
@@ -38,12 +40,18 @@
 //! difference is *step accounting*: [`Stats::steps`] counts VM
 //! instructions rather than AST nodes, so fuel limits are measured in
 //! instructions (both backends still interrupt runaway programs with
-//! [`RtError::OutOfFuel`]).
+//! [`RtError::OutOfFuel`]). The dispatch loop charges every instruction
+//! against one countdown (`Budget`) that runs out at the next
+//! bookkeeping event — the instruction that exhausts the fuel, or the
+//! sampler's next sample point — and credits `steps`, the per-chunk
+//! profile and the sampler in bulk where the running activation changes.
 
 use crate::bytecode::{Instr, TrapKind, VmProgram};
 use jns_eval::rules::{self, ViewMiss};
-use jns_eval::value::MaskSet;
-use jns_eval::{Heap, Loc, RefVal, RtError, RunConfig, Stats, Value, DEFAULT_MAX_DEPTH};
+use jns_eval::{
+    Heap, Loc, MaskId, MaskTable, RefVal, RtError, RunConfig, Stats, Value, DEFAULT_MAX_DEPTH,
+};
+use jns_obs::IcKind;
 use jns_types::{CheckedProgram, ClassId, Name, Ty};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -71,9 +79,9 @@ struct FieldRes {
     alts: Box<[(ClassId, Option<u32>)]>,
     /// The interpreted field type driving the lazy implicit view change:
     /// interned canonical type + interned mask set (`Err` = the `BadType`
-    /// message). The shared `Arc` makes every implicit view change on
-    /// this path clone a pointer, not a `BTreeSet`.
-    ft: Result<(u32, MaskSet), String>,
+    /// message). Both are ids, so every implicit view change on this path
+    /// copies two words.
+    ft: Result<(u32, MaskId), String>,
 }
 
 /// Resolved write path for a (view, field) pair.
@@ -81,6 +89,56 @@ struct FieldRes {
 struct SetRes {
     copy: ClassId,
     slot: Option<u32>,
+}
+
+/// The inline caches of one kind of site (field reads, field writes or
+/// calls), indexed by site id: up to [`IC_CAP`] `(view, resolution)`
+/// entries per site, and the site's `[hits, misses]`. Every resolution is
+/// `Copy` (an index into [`Vm::field_paths`], a [`SetRes`] or a chunk),
+/// so a hit copies it out. [`Vm::probe`] is the one lookup.
+#[derive(Debug)]
+struct IcSites<T> {
+    kind: IcKind,
+    entries: Vec<Vec<(ClassId, T)>>,
+    hm: Vec<[u64; 2]>,
+}
+
+impl<T> IcSites<T> {
+    fn new(kind: IcKind, n: u32) -> Self {
+        IcSites {
+            kind,
+            entries: (0..n).map(|_| Vec::new()).collect(),
+            hm: vec![[0; 2]; n as usize],
+        }
+    }
+
+    /// Per site: `[hits, misses]` and the number of views cached.
+    fn rows(&self) -> Vec<([u64; 2], u32)> {
+        self.hm
+            .iter()
+            .zip(&self.entries)
+            .map(|(hm, e)| (*hm, e.len() as u32))
+            .collect()
+    }
+}
+
+/// The dispatch loop's instruction budget: one countdown that every
+/// instruction decrements and that runs out exactly at the next
+/// bookkeeping event — the instruction that exhausts the fuel, or the
+/// sampler's next sample point ([`Vm::refill`]). Instructions are
+/// credited to `steps`, the running chunk's count and the sampler in
+/// bulk ([`Vm::credit`]) where the running activation changes, around
+/// allocations (whose initialiser chunks run a nested loop with a budget
+/// of its own), on loop exit and on every error path. A budget lives only
+/// while its loop runs, so limits and strides set between runs need no
+/// flush.
+#[derive(Debug, Clone, Copy)]
+struct Budget {
+    /// Instructions that may still start before the next event.
+    left: u64,
+    /// `left` at the last credit: `granted - left` instructions have
+    /// started since and are not yet counted.
+    granted: u64,
 }
 
 /// The explicit execution state of one activation — the chunk, program
@@ -114,14 +172,16 @@ enum Flow {
 /// The sampling profiler: every `stride` executed instructions it
 /// snapshots the frame stack as a chunk-id path and bumps that path's
 /// count. Deterministic (instruction-count-strided, not timer-driven)
-/// so identical runs produce identical profiles, and cheap — between
-/// samples the cost is one counter decrement per instruction; taking a
-/// sample is O(stack depth).
+/// so identical runs produce identical profiles, and free between
+/// samples — the dispatch loop's [`Budget`] runs out at each sample
+/// point; taking a sample is O(stack depth).
 #[derive(Debug)]
 struct Sampler {
     /// Instructions between samples (≥ 1).
     stride: u64,
-    /// Instructions until the next sample.
+    /// Position of the next sample point among the instructions still to
+    /// be credited: the `countdown`-th one is sampled before it runs
+    /// (always ≥ 1).
     countdown: u64,
     /// Samples keyed by the frame-stack chunk-id path, outermost first.
     stacks: HashMap<Vec<u32>, u64>,
@@ -173,14 +233,18 @@ pub struct Vm<'p> {
 
     // --- caches (all monotone; never invalidated by `reset_for_request`,
     // so a reused worker VM stays warm across requests) ---
-    /// Per-site field-read caches, keyed by view.
-    field_ics: Vec<Vec<(ClassId, Arc<FieldRes>)>>,
+    /// Per-site field-read caches, keyed by view: indices into
+    /// `field_paths`.
+    field_ics: IcSites<u32>,
     /// Per-site field-write caches, keyed by view.
-    set_ics: Vec<Vec<(ClassId, SetRes)>>,
+    set_ics: IcSites<SetRes>,
     /// Per-site call caches, keyed by view.
-    call_ics: Vec<Vec<(ClassId, Option<usize>)>>,
-    /// Global (view, field) read resolutions backing the site caches.
-    field_res: HashMap<(ClassId, Name), Arc<FieldRes>>,
+    call_ics: IcSites<Option<usize>>,
+    /// Every resolved (view, field) read path, stored once.
+    field_paths: Vec<FieldRes>,
+    /// Global (view, field) read resolutions backing the site caches, as
+    /// indices into `field_paths`.
+    field_res: HashMap<(ClassId, Name), u32>,
     /// Global (view, method) dispatch results backing the site caches.
     dispatch: HashMap<(ClassId, Name), Option<usize>>,
     /// Union layouts per class (shared per sharing group).
@@ -194,20 +258,13 @@ pub struct Vm<'p> {
     partner_memo: HashMap<(ClassId, u32), Result<ClassId, ViewMiss>>,
     /// Per type-table entry: interned pre-evaluated (target, full mask
     /// set — dependent ∪ declared).
-    pre_view: Vec<Option<(u32, MaskSet)>>,
-    /// Runtime mask-set interning pool, seeded on demand: distinct sets
-    /// are materialised once (`Stats::mask_allocs`) and shared after.
-    mask_pool: crate::maskpool::MaskPool,
+    pre_view: Vec<Option<(u32, MaskId)>>,
+    /// The mask sets this VM's references carry: each distinct set is
+    /// interned once (`Stats::mask_allocs`) and named by its id after.
+    masks: MaskTable,
     /// Executed-instruction counter per chunk (profiling hook; survives
     /// `reset_for_request` so a worker accumulates a profile).
     chunk_steps: Vec<u64>,
-    /// Per-site `[hits, misses]` for field-read caches (indexed like
-    /// `field_ics`; survives `reset_for_request` like the caches do).
-    field_ic_hm: Vec<[u64; 2]>,
-    /// Per-site `[hits, misses]` for field-write caches.
-    set_ic_hm: Vec<[u64; 2]>,
-    /// Per-site `[hits, misses]` for call caches.
-    call_ic_hm: Vec<[u64; 2]>,
     /// Optional structured-event sink (GC runs, per-site IC miss
     /// resolutions). `None` keeps every hook a single branch, with
     /// byte-identical outputs and statistics.
@@ -235,9 +292,10 @@ impl<'p> Vm<'p> {
             frames: Vec::new(),
             alloc_stack: Vec::new(),
             pool: Vec::new(),
-            field_ics: (0..code.n_field_ics).map(|_| Vec::new()).collect(),
-            set_ics: (0..code.n_set_ics).map(|_| Vec::new()).collect(),
-            call_ics: (0..code.n_call_ics).map(|_| Vec::new()).collect(),
+            field_ics: IcSites::new(IcKind::FieldGet, code.n_field_ics),
+            set_ics: IcSites::new(IcKind::FieldSet, code.n_set_ics),
+            call_ics: IcSites::new(IcKind::Call, code.n_call_ics),
+            field_paths: Vec::new(),
             field_res: HashMap::new(),
             dispatch: HashMap::new(),
             layouts: HashMap::new(),
@@ -246,11 +304,8 @@ impl<'p> Vm<'p> {
             sub_memo: HashMap::new(),
             partner_memo: HashMap::new(),
             pre_view: vec![None; code.types.len()],
-            mask_pool: Default::default(),
+            masks: MaskTable::default(),
             chunk_steps: vec![0; code.chunks.len()],
-            field_ic_hm: vec![[0; 2]; code.n_field_ics as usize],
-            set_ic_hm: vec![[0; 2]; code.n_set_ics as usize],
-            call_ic_hm: vec![[0; 2]; code.n_call_ics as usize],
             trace: None,
             sampler: None,
         }
@@ -429,15 +484,42 @@ impl<'p> Vm<'p> {
         });
     }
 
-    /// Records one inline-cache miss resolution, when tracing.
-    fn trace_ic_miss(&mut self, kind: jns_obs::IcKind, site: u32, view: ClassId) {
+    /// The inline-cache probe every get, set and call site goes through.
+    /// A hit copies the resolution cached for `view` at site `ic` of the
+    /// `sites` table. A miss is counted and traced; `resolve` answers it
+    /// through the global tables, and the answer is cached while the site
+    /// holds fewer than [`IC_CAP`] views.
+    #[inline]
+    fn probe<T: Copy>(
+        &mut self,
+        sites: impl Fn(&mut Self) -> &mut IcSites<T>,
+        ic: u32,
+        view: ClassId,
+        resolve: impl FnOnce(&mut Self) -> T,
+    ) -> T {
+        let i = ic as usize;
+        let s = sites(self);
+        if let Some(&(_, t)) = s.entries[i].iter().find(|(v, _)| *v == view) {
+            s.hm[i][0] += 1;
+            self.stats.ic_hits += 1;
+            return t;
+        }
+        s.hm[i][1] += 1;
+        let kind = s.kind;
+        self.stats.ic_misses += 1;
         if let Some(t) = self.trace.as_mut() {
             t.push(jns_obs::TraceEvent::IcMiss {
                 kind,
-                site,
+                site: ic,
                 view: view.0,
             });
         }
+        let t = resolve(self);
+        let site = &mut sites(self).entries[i];
+        if site.len() < IC_CAP {
+            site.push((view, t));
+        }
+        t
     }
 
     /// Per-chunk executed-instruction counts `(chunk name, instructions)`,
@@ -492,36 +574,23 @@ impl<'p> Vm<'p> {
             ),
             None => format!("<unmapped {kind} site>"),
         };
-        let mut out = Vec::with_capacity(get_at.len() + set_at.len() + call_at.len());
-        for (i, at) in get_at.iter().enumerate() {
-            out.push(jns_obs::IcSiteProfile {
-                kind: "get",
-                site: i as u32,
-                name: name_of(at, "get"),
-                hits: self.field_ic_hm[i][0],
-                misses: self.field_ic_hm[i][1],
-                entries: self.field_ics[i].len() as u32,
-            });
-        }
-        for (i, at) in set_at.iter().enumerate() {
-            out.push(jns_obs::IcSiteProfile {
-                kind: "set",
-                site: i as u32,
-                name: name_of(at, "set"),
-                hits: self.set_ic_hm[i][0],
-                misses: self.set_ic_hm[i][1],
-                entries: self.set_ics[i].len() as u32,
-            });
-        }
-        for (i, at) in call_at.iter().enumerate() {
-            out.push(jns_obs::IcSiteProfile {
-                kind: "call",
-                site: i as u32,
-                name: name_of(at, "call"),
-                hits: self.call_ic_hm[i][0],
-                misses: self.call_ic_hm[i][1],
-                entries: self.call_ics[i].len() as u32,
-            });
+        let kinds = [
+            ("get", get_at, self.field_ics.rows()),
+            ("set", set_at, self.set_ics.rows()),
+            ("call", call_at, self.call_ics.rows()),
+        ];
+        let mut out = Vec::new();
+        for (kind, at, rows) in kinds {
+            for (i, (at, ([hits, misses], entries))) in at.iter().zip(rows).enumerate() {
+                out.push(jns_obs::IcSiteProfile {
+                    kind,
+                    site: i as u32,
+                    name: name_of(at, kind),
+                    hits,
+                    misses,
+                    entries,
+                });
+            }
         }
         out
     }
@@ -552,35 +621,68 @@ impl<'p> Vm<'p> {
         self.heap.len()
     }
 
-    /// The sampler's per-instruction hook: decrements the countdown and,
-    /// every `stride` instructions, snapshots the frame stack. The key is
-    /// every suspended frame's chunk (outermost first — frames parked
-    /// during allocations are on [`Vm::frames`] too, so initialiser-chunk
-    /// stacks are complete) plus the executing chunk.
-    fn sample_tick(&mut self, cur_chunk: usize) {
+    /// The table this VM's references take their mask ids from.
+    pub fn mask_table(&self) -> &MaskTable {
+        &self.masks
+    }
+
+    /// A budget that runs out at the next event: the instruction that
+    /// exhausts the fuel (instruction `fuel + 1`) or the sampler's next
+    /// sample point, whichever comes first.
+    fn budget(&self) -> Budget {
+        let fuel = self
+            .fuel
+            .map_or(u64::MAX, |f| f.saturating_sub(self.stats.steps));
+        let sample = self.sampler.as_ref().map_or(u64::MAX, |s| s.countdown - 1);
+        let left = fuel.min(sample);
+        Budget {
+            left,
+            granted: left,
+        }
+    }
+
+    /// Credits the instructions started since the last credit to
+    /// `steps`, to `chunk`'s count and to the sampler's countdown.
+    #[inline]
+    fn credit(&mut self, chunk: usize, b: &mut Budget) {
+        let n = b.granted - b.left;
+        b.granted = b.left;
+        self.stats.steps += n;
+        self.chunk_steps[chunk] += n;
+        if let Some(s) = self.sampler.as_mut() {
+            s.countdown -= n;
+        }
+    }
+
+    /// The budget ran out: the instruction about to start in `chunk` is
+    /// an event. If it exhausts the fuel it counts (in `steps` and the
+    /// profile) and fails with [`RtError::OutOfFuel`]. If it is a sample
+    /// point, the sampler snapshots the frame stack before it runs: every
+    /// suspended frame's chunk (outermost first — frames parked during
+    /// allocations are on [`Vm::frames`] too, so initialiser-chunk stacks
+    /// are complete) plus `chunk`. Then the budget is refilled up to the
+    /// next event; it covers this instruction, which is credited later.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self, chunk: usize, b: &mut Budget) -> Result<(), RtError> {
+        self.credit(chunk, b);
+        if self.fuel.is_some_and(|f| self.stats.steps >= f) {
+            self.stats.steps += 1;
+            self.chunk_steps[chunk] += 1;
+            return Err(RtError::OutOfFuel);
+        }
         let Vm {
             sampler, frames, ..
         } = self;
-        let Some(s) = sampler.as_mut() else { return };
-        s.countdown -= 1;
-        if s.countdown > 0 {
-            return;
+        if let Some(s) = sampler.as_mut().filter(|s| s.countdown == 1) {
+            let mut key: Vec<u32> = Vec::with_capacity(frames.len() + 1);
+            key.extend(frames.iter().map(|f| f.chunk as u32));
+            key.push(chunk as u32);
+            *s.stacks.entry(key).or_insert(0) += 1;
+            s.taken += 1;
+            s.countdown += s.stride;
         }
-        s.countdown = s.stride;
-        let mut key: Vec<u32> = Vec::with_capacity(frames.len() + 1);
-        key.extend(frames.iter().map(|f| f.chunk as u32));
-        key.push(cur_chunk as u32);
-        *s.stacks.entry(key).or_insert(0) += 1;
-        s.taken += 1;
-    }
-
-    fn tick(&mut self) -> Result<(), RtError> {
-        self.stats.steps += 1;
-        if let Some(f) = self.fuel {
-            if self.stats.steps > f {
-                return Err(RtError::OutOfFuel);
-            }
-        }
+        *b = self.budget();
         Ok(())
     }
 
@@ -607,15 +709,11 @@ impl<'p> Vm<'p> {
         r
     }
 
-    /// The dispatch loop: a flat walk over the activation's instruction
-    /// stream where every non-trivial opcode body is a small handler over
-    /// the explicit [`ExecState`], and each handler's [`Flow`] result
-    /// tells the loop how to continue. Semantics are bit-for-bit those of
-    /// the pre-engine loop: same errors, same statistics, same step
-    /// accounting, and the sampler still fires after each *successful*
-    /// tick.
+    /// Runs one invocation's dispatch loop under a fresh [`Budget`], then
+    /// credits whatever it left uncounted — on return and on every error
+    /// path alike, so the profile sums to [`Stats::steps`] and the sampler
+    /// has taken exactly `⌊executed / stride⌋` samples either way.
     fn run_frames(&mut self, chunk: usize, locals: Vec<Value>) -> Result<Value, RtError> {
-        let code = self.code;
         // Suspended frames live on `self.frames` (so the collector can
         // walk them); this invocation owns the stack above `base`.
         let base = self.frames.len();
@@ -625,18 +723,35 @@ impl<'p> Vm<'p> {
             locals,
             stack: Vec::with_capacity(8),
         };
+        let mut budget = self.budget();
+        let r = self.dispatch(&mut cur, base, &mut budget);
+        self.credit(cur.chunk, &mut budget);
+        r
+    }
+
+    /// The dispatch loop: a flat walk over the activation's instruction
+    /// stream where every non-trivial opcode body is a small handler over
+    /// the explicit [`ExecState`], and each handler's [`Flow`] result
+    /// tells the loop how to continue. Each instruction costs one budget
+    /// decrement and one zero test; the counters it feeds are credited
+    /// when the activation changes, around allocations and by the caller
+    /// on exit.
+    #[inline(always)]
+    fn dispatch(
+        &mut self,
+        cur: &mut ExecState,
+        base: usize,
+        budget: &mut Budget,
+    ) -> Result<Value, RtError> {
+        let code = self.code;
         'frame: loop {
-            let instrs: &[Instr] = &code.chunks[cur.chunk].code;
+            let chunk = cur.chunk;
+            let instrs: &[Instr] = &code.chunks[chunk].code;
             loop {
-                // Attribute the step before the fuel check so the profile
-                // sums to `Stats::steps` even on the OutOfFuel path.
-                self.chunk_steps[cur.chunk] += 1;
-                self.tick()?;
-                // After a *successful* tick, so taken samples count only
-                // executed instructions: exactly ⌊executed / stride⌋.
-                if self.sampler.is_some() {
-                    self.sample_tick(cur.chunk);
+                if budget.left == 0 {
+                    self.refill(chunk, budget)?;
                 }
+                budget.left -= 1;
                 let flow = match &instrs[cur.pc] {
                     Instr::ConstInt(n) => {
                         cur.stack.push(Value::Int(*n));
@@ -669,24 +784,31 @@ impl<'p> Vm<'p> {
                     }
                     Instr::GetField { f, ic } => {
                         let v = cur.stack.pop().expect("getfield underflow");
-                        self.op_get(&mut cur, v, *f, *ic)?
+                        self.op_get(cur, v, *f, *ic)?
                     }
                     Instr::SetField { local, var, f, ic } => {
-                        self.op_set(&mut cur, *local, *var, *f, *ic)?
+                        self.op_set(cur, *local, *var, *f, *ic)?
                     }
                     Instr::Call { m, argc, ic } => {
                         let argc = *argc as usize;
                         let recv = cur.stack[cur.stack.len() - 1 - argc].clone();
-                        self.op_call(&mut cur, recv, *m, argc, *ic, true)?
+                        self.op_call(cur, recv, *m, argc, *ic, true)?
                     }
                     Instr::NewResolve { ty } => {
                         let class = self.new_class(*ty, &cur.locals)?;
                         self.new_stack.push(class);
                         Flow::Next
                     }
-                    Instr::NewAlloc { fields } => self.op_new_alloc(&mut cur, fields)?,
-                    Instr::View { ty } => self.op_view(&mut cur, *ty)?,
-                    Instr::Cast { ty } => self.op_cast(&mut cur, *ty)?,
+                    Instr::NewAlloc { fields } => {
+                        // Initialiser chunks run a nested loop with a
+                        // budget of its own: credit before, refill after.
+                        self.credit(chunk, budget);
+                        let flow = self.op_new_alloc(cur, fields);
+                        *budget = self.budget();
+                        flow?
+                    }
+                    Instr::View { ty } => self.op_view(cur, *ty)?,
+                    Instr::Cast { ty } => self.op_cast(cur, *ty)?,
                     Instr::Bin(op) => {
                         let rv = cur.stack.pop().expect("bin underflow");
                         let lv = cur.stack.pop().expect("bin underflow");
@@ -733,12 +855,12 @@ impl<'p> Vm<'p> {
                             }
                         })
                     }
-                    Instr::Ret => self.op_ret(&mut cur, base),
+                    Instr::Ret => self.op_ret(cur, base),
 
                     // --- superinstructions (compile-time fusion) ---
                     Instr::LoadGetField { slot, f, ic } => {
                         let v = cur.locals[*slot as usize].clone();
-                        self.op_get(&mut cur, v, *f, *ic)?
+                        self.op_get(cur, v, *f, *ic)?
                     }
                     Instr::LoadLoadBin { a, b, op } => {
                         let lv = cur.locals[*a as usize].clone();
@@ -763,13 +885,16 @@ impl<'p> Vm<'p> {
                     }
                     Instr::LoadCall { slot, m, ic } => {
                         let recv = cur.locals[*slot as usize].clone();
-                        self.op_call(&mut cur, recv, *m, 0, *ic, false)?
+                        self.op_call(cur, recv, *m, 0, *ic, false)?
                     }
                 };
                 match flow {
                     Flow::Next => cur.pc += 1,
                     Flow::Jump => {}
-                    Flow::Switch => continue 'frame,
+                    Flow::Switch => {
+                        self.credit(chunk, budget);
+                        continue 'frame;
+                    }
                     Flow::Done(v) => return Ok(v),
                 }
             }
@@ -781,8 +906,13 @@ impl<'p> Vm<'p> {
     /// Field read (`GetField` / `LoadGetField`): `v` is the receiver.
     fn op_get(&mut self, st: &mut ExecState, v: Value, f: Name, ic: u32) -> Result<Flow, RtError> {
         let r = rules::expect_ref(v)?;
-        let res = self.site_field_res(ic, r.view, f);
-        let out = self.get_field_resolved(&r, f, &res)?;
+        let path = self.probe(
+            |vm| &mut vm.field_ics,
+            ic,
+            r.view,
+            |vm| vm.resolve_field(r.view, f),
+        );
+        let out = self.get_field_resolved(&r, f, path)?;
         st.stack.push(out);
         Ok(Flow::Next)
     }
@@ -797,20 +927,23 @@ impl<'p> Vm<'p> {
         ic: u32,
     ) -> Result<Flow, RtError> {
         let v = st.stack.pop().expect("setfield underflow");
-        let r = match local.and_then(|s| st.locals.get(s as usize)) {
-            Some(Value::Ref(r)) => r.clone(),
+        let slot = local.map(usize::from);
+        let r = match slot.and_then(|s| st.locals.get(s)) {
+            Some(&Value::Ref(r)) => r,
             _ => return Err(RtError::UnboundVariable(self.prog.table.name_str(var))),
         };
-        let res = self.site_set_res(ic, r.view, f);
+        let res = self.probe(
+            |vm| &mut vm.set_ics,
+            ic,
+            r.view,
+            |vm| vm.resolve_set(r.view, f),
+        );
         self.write_cell(r.loc, res.copy, res.slot, f, v.clone());
-        // grant(σ, x.f): the stack binding loses the mask (copy-on-write:
-        // clones the shared set only when the mask is actually present).
-        let mut mask_copied = false;
-        if let Some(Value::Ref(r2)) = local.and_then(|s| st.locals.get_mut(s as usize)) {
-            mask_copied = r2.grant(&f);
-        }
-        if mask_copied {
-            self.stats.mask_allocs += 1;
+        // grant(σ, x.f): the stack binding loses the mask.
+        if let Some(Value::Ref(x)) = slot.and_then(|s| st.locals.get_mut(s)) {
+            let (masks, fresh) = self.masks.grant(r.masks, f);
+            x.masks = masks;
+            self.stats.mask_allocs += u64::from(fresh);
         }
         st.stack.push(v);
         Ok(Flow::Next)
@@ -833,7 +966,12 @@ impl<'p> Vm<'p> {
         if self.depth >= self.max_depth {
             return Err(RtError::DepthExceeded(self.max_depth));
         }
-        let Some(chunk) = self.site_call_res(ic, r.view, m) else {
+        let Some(chunk) = self.probe(
+            |vm| &mut vm.call_ics,
+            ic,
+            r.view,
+            |vm| vm.resolve_method(r.view, m),
+        ) else {
             return Err(rules::no_method(self.prog, r.view, m));
         };
         if self.code.chunks[chunk].n_params as usize != argc {
@@ -940,67 +1078,28 @@ impl<'p> Vm<'p> {
 
     // -------------------------------------------------------------- fields
 
-    /// Per-site inline cache in front of the global (view, field) table.
-    fn site_field_res(&mut self, ic: u32, view: ClassId, f: Name) -> Arc<FieldRes> {
-        let site = &self.field_ics[ic as usize];
-        for (v, res) in site {
-            if *v == view {
-                let res = res.clone();
-                self.stats.ic_hits += 1;
-                self.field_ic_hm[ic as usize][0] += 1;
-                return res;
-            }
-        }
-        self.stats.ic_misses += 1;
-        self.field_ic_hm[ic as usize][1] += 1;
-        self.trace_ic_miss(jns_obs::IcKind::FieldGet, ic, view);
-        let res = self.resolve_field(view, f);
-        let site = &mut self.field_ics[ic as usize];
-        if site.len() < IC_CAP {
-            site.push((view, res.clone()));
-        }
-        res
-    }
-
-    fn site_set_res(&mut self, ic: u32, view: ClassId, f: Name) -> SetRes {
-        let site = &self.set_ics[ic as usize];
-        for (v, res) in site {
-            if *v == view {
-                let res = *res;
-                self.stats.ic_hits += 1;
-                self.set_ic_hm[ic as usize][0] += 1;
-                return res;
-            }
-        }
-        self.stats.ic_misses += 1;
-        self.set_ic_hm[ic as usize][1] += 1;
-        self.trace_ic_miss(jns_obs::IcKind::FieldSet, ic, view);
+    /// The write path of `f` in view `view` (uncached: the set-site
+    /// caches sit in front of it).
+    fn resolve_set(&mut self, view: ClassId, f: Name) -> SetRes {
         let layout = self.layout_of(view);
         let copy = self.prog.sharing.fclass(view, f);
-        let res = SetRes {
+        SetRes {
             copy,
             slot: layout.slots.get(&(copy, f)).copied(),
-        };
-        let site = &mut self.set_ics[ic as usize];
-        if site.len() < IC_CAP {
-            site.push((view, res));
         }
-        res
     }
 
     /// Reads `r.f` through `r`'s view (public for the type evaluator and
     /// direct API users); uses only the global caches.
     pub fn get_field(&mut self, r: &RefVal, f: Name) -> Result<Value, RtError> {
-        let res = self.resolve_field(r.view, f);
-        self.get_field_resolved(r, f, &res)
+        let path = self.resolve_field(r.view, f);
+        self.get_field_resolved(r, f, path)
     }
 
-    fn get_field_resolved(
-        &mut self,
-        r: &RefVal,
-        f: Name,
-        res: &FieldRes,
-    ) -> Result<Value, RtError> {
+    /// Reads `r.f` along read path `path` (an index into
+    /// [`Vm::field_paths`]).
+    fn get_field_resolved(&mut self, r: &RefVal, f: Name, path: u32) -> Result<Value, RtError> {
+        let res = &self.field_paths[path as usize];
         let stored = {
             let Some(obj) = self.heap.obj(r.loc) else {
                 return Err(rules::uninitialised(self.prog, r, f));
@@ -1023,7 +1122,10 @@ impl<'p> Vm<'p> {
         match stored {
             Value::Ref(inner) => {
                 // Lazy implicit view change at the interpreted field type.
-                let (tid, masks) = res.ft.clone().map_err(RtError::BadType)?;
+                let (tid, masks) = match &res.ft {
+                    Ok(ft) => *ft,
+                    Err(m) => return Err(RtError::BadType(m.clone())),
+                };
                 self.stats.views_implicit += 1;
                 self.apply_view(inner, tid, masks).map(Value::Ref)
             }
@@ -1035,9 +1137,11 @@ impl<'p> Vm<'p> {
         self.heap.set(loc, copy, slot, f, v);
     }
 
-    fn resolve_field(&mut self, view: ClassId, f: Name) -> Arc<FieldRes> {
-        if let Some(res) = self.field_res.get(&(view, f)) {
-            return res.clone();
+    /// The read path of `f` in view `view`, resolved once per (view,
+    /// field) and stored in [`Vm::field_paths`]; returns its index.
+    fn resolve_field(&mut self, view: ClassId, f: Name) -> u32 {
+        if let Some(&path) = self.field_res.get(&(view, f)) {
+            return path;
         }
         let layout = self.layout_of(view);
         let copy = self.prog.sharing.fclass(view, f);
@@ -1049,21 +1153,17 @@ impl<'p> Vm<'p> {
             .iter()
             .map(|&alt| (alt, layout.slots.get(&(alt, f)).copied()))
             .collect();
-        let ft = match rules::field_view_type(self.prog, view, f) {
-            Ok((ty, masks)) => {
-                let tid = self.intern_ty(ty);
-                Ok((tid, self.intern_masks(masks)))
-            }
-            Err(m) => Err(m),
-        };
-        let res = Arc::new(FieldRes {
+        let ft = rules::field_view_type(self.prog, view, f)
+            .map(|(ty, masks)| (self.intern_ty(ty), self.intern_masks(masks)));
+        let path = self.field_paths.len() as u32;
+        self.field_paths.push(FieldRes {
             copy,
             slot,
             alts,
             ft,
         });
-        self.field_res.insert((view, f), res.clone());
-        res
+        self.field_res.insert((view, f), path);
+        path
     }
 
     // -------------------------------------------------------------- layout
@@ -1130,8 +1230,7 @@ impl<'p> Vm<'p> {
             self.write_cell(loc, copy, slot, fname, v);
             masks.remove(&fname);
         }
-        // Fully initialised objects end with the empty mask set, which the
-        // pool shares across every allocation.
+        // Fully initialised objects end with ∅, id 0 in every table.
         let masks = self.intern_masks(masks);
         self.stats.sync_gc(&self.heap.gc_stats());
         Ok(Value::Ref(RefVal {
@@ -1154,12 +1253,12 @@ impl<'p> Vm<'p> {
         let all_fields = self.prog.table.fields_of(class);
         let mut masks: BTreeSet<Name> = all_fields.iter().map(|(_, fi)| fi.name).collect();
         // `this` during initialisation: all fields masked (F-OK).
-        self.stats.mask_allocs += 1;
+        let this_masks = self.intern_masks(masks.clone());
         let scope = self.alloc_stack.len() - 1;
         self.alloc_stack[scope].this_ref = Some(RefVal {
             loc,
             view: class,
-            masks: Arc::new(masks.clone()),
+            masks: this_masks,
         });
         for (owner, fi) in all_fields.iter().rev() {
             if !fi.has_init {
@@ -1168,10 +1267,7 @@ impl<'p> Vm<'p> {
             let Some(&chunk) = self.code.field_inits.get(&(*owner, fi.name)) else {
                 continue;
             };
-            let this_ref = self.alloc_stack[scope]
-                .this_ref
-                .clone()
-                .expect("in-flight this");
+            let this_ref = self.alloc_stack[scope].this_ref.expect("in-flight this");
             let mut locals = vec![Value::Unit; self.code.chunks[chunk].n_locals as usize];
             locals[0] = Value::Ref(this_ref);
             // Initialiser chunks are the one place the VM still recurses
@@ -1201,28 +1297,6 @@ impl<'p> Vm<'p> {
     }
 
     // -------------------------------------------------------------- calls
-
-    /// Per-site call cache in front of the global dispatch table.
-    fn site_call_res(&mut self, ic: u32, view: ClassId, m: Name) -> Option<usize> {
-        let site = &self.call_ics[ic as usize];
-        for (v, c) in site {
-            if *v == view {
-                let c = *c;
-                self.stats.ic_hits += 1;
-                self.call_ic_hm[ic as usize][0] += 1;
-                return c;
-            }
-        }
-        self.stats.ic_misses += 1;
-        self.call_ic_hm[ic as usize][1] += 1;
-        self.trace_ic_miss(jns_obs::IcKind::Call, ic, view);
-        let c = self.resolve_method(view, m);
-        let site = &mut self.call_ics[ic as usize];
-        if site.len() < IC_CAP {
-            site.push((view, c));
-        }
-        c
-    }
 
     /// Public view-based dispatch entry (mirrors `Machine::call`).
     pub fn call(&mut self, r: RefVal, m: Name, args: Vec<Value>) -> Result<Value, RtError> {
@@ -1275,15 +1349,12 @@ impl<'p> Vm<'p> {
         id
     }
 
-    /// Interns a runtime-computed mask set: the first occurrence counts as
-    /// a materialisation (`Stats::mask_allocs`), every later one shares
-    /// the pooled `Arc`.
-    fn intern_masks(&mut self, masks: BTreeSet<Name>) -> MaskSet {
-        let (m, fresh) = self.mask_pool.intern(masks);
-        if fresh {
-            self.stats.mask_allocs += 1;
-        }
-        m
+    /// Interns a mask set in the VM's table, counting a first-time set in
+    /// `Stats::mask_allocs`.
+    fn intern_masks(&mut self, masks: BTreeSet<Name>) -> MaskId {
+        let (id, fresh) = self.masks.intern(masks);
+        self.stats.mask_allocs += u64::from(fresh);
+        id
     }
 
     /// Whether `view! ≤ target` (memoised on the interned target).
@@ -1322,15 +1393,11 @@ impl<'p> Vm<'p> {
     }
 
     /// The `view` function (§4.15), memoised: re-views `r` at the interned
-    /// target type with an interned (shared) mask set.
-    fn apply_view(&mut self, r: RefVal, tid: u32, masks: MaskSet) -> Result<RefVal, RtError> {
+    /// target type with an interned mask set.
+    fn apply_view(&mut self, r: RefVal, tid: u32, masks: MaskId) -> Result<RefVal, RtError> {
         // Case 1: current view already compatible.
-        if self.view_subtype(r.view, tid) && r.masks.is_subset(&masks) {
-            return Ok(RefVal {
-                loc: r.loc,
-                view: r.view,
-                masks,
-            });
+        if self.view_subtype(r.view, tid) && self.masks.is_subset(r.masks, masks) {
+            return Ok(RefVal { masks, ..r });
         }
         // Case 2: the unique shared partner below the target.
         match self.partner_for(r.view, tid) {
@@ -1348,34 +1415,27 @@ impl<'p> Vm<'p> {
     /// Evaluates a type-table entry to an interned runtime type plus the
     /// *full* interned mask set: masks contributed by dependent classes
     /// unioned with the masks declared on the source type. Non-dependent
-    /// entries resolve to one shared `Arc` per entry, so the hot path of
-    /// a view transition allocates nothing.
+    /// entries are interned once per entry, so the hot path of a view
+    /// transition copies two ids.
     fn eval_type_interned(
         &mut self,
         tidx: u32,
         locals: &[Value],
-    ) -> Result<(u32, MaskSet), RtError> {
-        if let Some((tid, masks)) = &self.pre_view[tidx as usize] {
-            return Ok((*tid, masks.clone()));
+    ) -> Result<(u32, MaskId), RtError> {
+        if let Some(pre) = self.pre_view[tidx as usize] {
+            return Ok(pre);
         }
         let entry = &self.code.types[tidx as usize];
-        let declared = entry.masks.clone();
-        if let Some((ty, dep_masks)) = &entry.pre {
-            let (ty, dep_masks) = (ty.clone(), dep_masks.clone());
-            let tid = self.intern_ty(ty);
-            let masks = if dep_masks.is_empty() {
-                declared
-            } else {
-                let mut all = dep_masks;
-                all.extend(declared.iter().copied());
-                self.intern_masks(all)
-            };
-            self.pre_view[tidx as usize] = Some((tid, masks.clone()));
-            return Ok((tid, masks));
+        let (ty, mut masks) = match &entry.pre {
+            Some((ty, dep_masks)) => (ty.clone(), dep_masks.clone()),
+            None => self.eval_type_rt(tidx, locals)?,
+        };
+        masks.extend(entry.masks.iter().copied());
+        let out = (self.intern_ty(ty), self.intern_masks(masks));
+        if entry.pre.is_some() {
+            self.pre_view[tidx as usize] = Some(out);
         }
-        let (ty, mut masks) = self.eval_type_rt(tidx, locals)?;
-        masks.extend(declared.iter().copied());
-        Ok((self.intern_ty(ty), self.intern_masks(masks)))
+        Ok(out)
     }
 
     /// Runtime type evaluation: delegates to the shared Fig. 16 algorithm
@@ -1422,5 +1482,9 @@ impl jns_eval::typeeval::TypeEvalCtx for Vm<'_> {
 
     fn checked_program(&self) -> &CheckedProgram {
         self.prog
+    }
+
+    fn mask_table(&self) -> &MaskTable {
+        &self.masks
     }
 }

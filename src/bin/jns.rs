@@ -2,7 +2,7 @@
 //! language.
 //!
 //! Usage:
-//!   jns run [--vm] [--stats] [--no-fuse] [--max-depth N]
+//!   jns run [--vm] [--stats] [--no-fuse] [--fuel N] [--max-depth N]
 //!           [--heap-limit N] [--nursery N] [--trace PATH]
 //!           [--profile-json PATH] [--profile-folded PATH]
 //!           [--sample-stride N] <file.jns>
@@ -11,7 +11,10 @@
 //!       execution statistics, inline-cache hit rates, the dispatch
 //!       engine's fusion count, and the VM's per-chunk instruction
 //!       profile; `--no-fuse` disables the dispatch engine's
-//!       superinstruction fusion (an ablation knob); `--max-depth`
+//!       superinstruction fusion (an ablation knob); `--fuel` bounds
+//!       the run to N steps (AST nodes on the tree-walker, instructions
+//!       on the VM; no bound by default), so a looping program ends
+//!       with `runtime error: out of fuel`; `--max-depth`
 //!       bounds J&s recursion — both backends run on explicit heap
 //!       stacks, so deep limits are safe and exhaustion is a clean
 //!       runtime error;
@@ -39,7 +42,8 @@
 //!       compile once, then replay the program's entrypoint N times
 //!       across a pool of worker VMs and report throughput. RUN FLAGS
 //!       are every `jns run` flag but `--vm`, parsed by the same code
-//!       into the same `jns_core::RunConfig`: the heap resets per
+//!       into the same `jns_core::RunConfig`: `--fuel` bounds every
+//!       request, the heap resets per
 //!       request, and with `--heap-limit` each worker also collects
 //!       *within* a request; `--stats` adds latency percentiles and
 //!       queue back-pressure gauges, `--trace` merges every worker's
@@ -76,9 +80,9 @@ const DEFAULT_SAMPLE_STRIDE: u64 = 101;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: jns run [--vm] [--stats] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
+        "usage: jns run [--vm] [--stats] [--no-fuse] [--fuel N] [--max-depth N] [--heap-limit N] [--nursery N] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
          \x20      jns check [--stats] <file.jns>\n\
-         \x20      jns serve [--workers N] [--requests N] [--queue N] [--no-fuse] [--max-depth N] [--heap-limit N] [--nursery N] [--stats] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
+         \x20      jns serve [--workers N] [--requests N] [--queue N] [--no-fuse] [--fuel N] [--max-depth N] [--heap-limit N] [--nursery N] [--stats] [--trace PATH] [--profile-json PATH] [--profile-folded PATH] [--sample-stride N] <file.jns>\n\
          \x20      jns bench [--suite NAME]... [--repeat N] [--warmup N] [--out-dir DIR]\n\
          \x20      jns trace-report <file.jsonl>"
     );
@@ -160,7 +164,7 @@ impl RunFlags {
             stats: take_flag(args, "--stats"),
             fuse: !take_flag(args, "--no-fuse"),
             run: RunConfig {
-                fuel: None,
+                fuel: take_num(args, "--fuel")?,
                 max_depth: take_num(args, "--max-depth")?
                     .map(|n| n.min(u64::from(u32::MAX)) as u32),
                 heap_limit: take_num(args, "--heap-limit")?.map(|n| n.max(1) as usize),

@@ -7,7 +7,7 @@
 // Every suite includes this module; not every suite uses every item.
 #![allow(dead_code)]
 
-use jns_core::{Backend, Compiler, Error, RtError, RunConfig, Stats};
+use jns_core::{Backend, Compiler, Error, RtError, RunConfig, RunOutput, Stats, Value};
 
 /// The observable result of one run: printed output plus the semantic
 /// statistics — everything that must not depend on whether, when, or
@@ -39,6 +39,19 @@ pub fn run_cfg(src: &str, backend: Backend, cfg: RunConfig) -> (Outcome, Stats) 
         ),
         Err(Error::Runtime(e)) => (Outcome::Runtime(e), Stats::default()),
         Err(e) => panic!("non-runtime failure: {e}"),
+    }
+}
+
+/// A run's final value as two engines must agree on it: a reference by
+/// location, view and resolved mask set (its mask id is local to the
+/// engine that ran it), anything else by its `Debug` form.
+pub fn value_shape(out: &RunOutput) -> String {
+    match &out.value {
+        Value::Ref(r) => format!(
+            "Ref(loc {}, view {:?}, masks {:?})",
+            r.loc, r.view, out.value_masks
+        ),
+        v => format!("{v:?}"),
     }
 }
 

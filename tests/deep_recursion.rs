@@ -240,18 +240,15 @@ fn machine_is_reusable_after_errors() {
 
     let mut m = Machine::new(&checked).with_max_depth(50);
     let obj = m.alloc(r_class, vec![]).unwrap();
-    let r = obj.as_ref_val().unwrap().clone();
+    let r = *obj.as_ref_val().unwrap();
     // `go(48)` needs 49 activations — nearly the whole budget.
-    assert_eq!(
-        m.call(r.clone(), go, vec![Value::Int(48)]).unwrap(),
-        Value::Int(48)
-    );
+    assert_eq!(m.call(r, go, vec![Value::Int(48)]).unwrap(), Value::Int(48));
     // Exceed the limit repeatedly; each failure must leave no residue.
     for _ in 0..3 {
-        let err = m.call(r.clone(), go, vec![Value::Int(1_000)]).unwrap_err();
+        let err = m.call(r, go, vec![Value::Int(1_000)]).unwrap_err();
         assert_eq!(err, RtError::DepthExceeded(50));
         assert_eq!(
-            m.call(r.clone(), go, vec![Value::Int(48)]).unwrap(),
+            m.call(r, go, vec![Value::Int(48)]).unwrap(),
             Value::Int(48),
             "depth counter poisoned by a previous error"
         );
@@ -261,16 +258,16 @@ fn machine_is_reusable_after_errors() {
     let code = jns_vm::compile(&checked);
     let mut vm = jns_vm::Vm::new(&checked, &code).with_max_depth(50);
     let obj = vm.alloc(r_class, vec![]).unwrap();
-    let r = obj.as_ref_val().unwrap().clone();
+    let r = *obj.as_ref_val().unwrap();
     assert_eq!(
-        vm.call(r.clone(), go, vec![Value::Int(48)]).unwrap(),
+        vm.call(r, go, vec![Value::Int(48)]).unwrap(),
         Value::Int(48)
     );
     for _ in 0..3 {
-        let err = vm.call(r.clone(), go, vec![Value::Int(1_000)]).unwrap_err();
+        let err = vm.call(r, go, vec![Value::Int(1_000)]).unwrap_err();
         assert_eq!(err, RtError::DepthExceeded(50));
         assert_eq!(
-            vm.call(r.clone(), go, vec![Value::Int(48)]).unwrap(),
+            vm.call(r, go, vec![Value::Int(48)]).unwrap(),
             Value::Int(48),
             "VM depth counter poisoned by a previous error"
         );

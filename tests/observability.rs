@@ -19,6 +19,9 @@
 //!   One request on one worker writes the same profile counters as a
 //!   single VM run under the same flags, and both commands reject a
 //!   malformed limit with the same message.
+//! - **`--fuel` bounds a looping program.** `jns run` on both backends
+//!   and every request of `jns serve` end with `out of fuel` instead of
+//!   hanging.
 //! - **`jns check` takes only `--stats`.** Every `jns run` flag is a
 //!   usage error there, and no artifact gets written.
 
@@ -389,6 +392,49 @@ fn run_and_serve_apply_the_same_limit_flags() {
             "error: --heap-limit: bad number `abc`\n"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--fuel N` is one of the shared flags: a program that never stops ends
+/// with `runtime error: out of fuel` (exit 1) on both `run` backends, and
+/// on every request of a served batch, each of which runs exactly N + 1
+/// instructions.
+#[test]
+fn fuel_flag_bounds_a_looping_program_on_run_and_serve() {
+    let dir = std::env::temp_dir().join(format!("jns-fuel-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("loop.jns");
+    std::fs::write(
+        &path,
+        "class A { class C { int n = 0; } }
+         main { final A!.C c = new A.C(); while (0 < 1) { c.n = c.n + 1; } }",
+    )
+    .expect("write program");
+    let out_of_fuel = |out: &Output| {
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("runtime error: out of fuel"), "{err}");
+        err.into_owned()
+    };
+    for backend in [&["run"][..], &["run", "--vm"]] {
+        out_of_fuel(&jns(&[backend, &["--fuel", "10000"]].concat(), &path));
+    }
+    let serve = jns(
+        &[
+            "serve",
+            "--workers",
+            "2",
+            "--requests",
+            "4",
+            "--fuel",
+            "10000",
+            "--stats",
+        ],
+        &path,
+    );
+    let err = out_of_fuel(&serve);
+    assert!(err.contains("4 requests (0 ok)"), "{err}");
+    assert!(err.contains("aggregate: steps 40004 "), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,8 +14,16 @@
 //!   tree-walker ignores the stride entirely).
 //! - **Folded output is well-formed.** `folded_lines` over a real run
 //!   validates, and the leaf totals match the stride-predicted count.
+//! - **Step accounting is exact under fuel and VM reuse.** Fuel `N` (the
+//!   unlimited run's step count) completes in `N` steps; fuel `N − 1`
+//!   fails on instruction `N` with the profile summing to `N`; the
+//!   sampler takes `⌊executed / k⌋` samples on both paths, the failing
+//!   instruction not being executed; and one VM reused through
+//!   `reset_for_request` counts `N` per request and accumulates its
+//!   profile and samples across them.
 
 use jns_core::{Backend, Compiler, RunOptions, RunOutput};
+use jns_eval::{RtError, RunConfig};
 use std::collections::HashSet;
 
 mod corpus;
@@ -199,4 +207,81 @@ fn profile_document_carries_samples_only_when_armed() {
     };
     let doc = jns_obs::json::parse(&plain.to_json()).expect("parses");
     assert!(doc.get("samples").is_none());
+}
+
+/// One request's result and its step count.
+type Request = (Result<(), RtError>, u64);
+
+/// Runs `main` `requests` times on one VM (resetting between requests)
+/// under `fuel` and sampling stride `stride`. Returns each request's
+/// result and steps, the VM's profile total and its samples taken.
+fn reused_vm(
+    checked: &jns_types::CheckedProgram,
+    code: &jns_vm::VmProgram,
+    fuel: Option<u64>,
+    stride: u64,
+    requests: usize,
+) -> (Vec<Request>, u64, u64) {
+    let mut vm = jns_vm::Vm::new(checked, code).with_config(RunConfig {
+        fuel,
+        ..RunConfig::default()
+    });
+    vm.set_sample_stride(stride);
+    let mut runs = Vec::new();
+    for i in 0..requests {
+        if i > 0 {
+            vm.reset_for_request();
+        }
+        let r = vm.run().map(|_| ());
+        runs.push((r, vm.stats.steps));
+    }
+    let profiled = vm.profile().iter().map(|(_, n)| n).sum();
+    (runs, profiled, vm.samples_taken())
+}
+
+#[test]
+fn step_accounting_is_exact_under_fuel_sampling_and_reuse() {
+    for (name, src) in corpus_programs() {
+        let checked = jns_types::check(&jns_syntax::parse(src).expect("parses")).expect("checks");
+        let code = jns_vm::compile(&checked);
+        let mut vm = jns_vm::Vm::new(&checked, &code);
+        let unlimited = vm.run().map(|_| ());
+        let n = vm.stats.steps;
+        assert!(n > 1, "{name}: runs some instructions");
+        for stride in [1u64, 7, 101] {
+            // Fuel N: the last instruction is the N-th, so the run ends
+            // exactly as without a limit.
+            let (runs, profiled, taken) = reused_vm(&checked, &code, Some(n), stride, 1);
+            assert_eq!(runs, [(unlimited.clone(), n)], "{name}: fuel N");
+            assert_eq!(profiled, n, "{name}: fuel N profile");
+            assert_eq!(taken, n / stride, "{name}: fuel N samples at {stride}");
+            // Fuel N - 1: instruction N counts, then fails before running.
+            let (runs, profiled, taken) = reused_vm(&checked, &code, Some(n - 1), stride, 1);
+            assert_eq!(runs, [(Err(RtError::OutOfFuel), n)], "{name}: fuel N - 1");
+            assert_eq!(profiled, n, "{name}: fuel N - 1 profile");
+            assert_eq!(
+                taken,
+                (n - 1) / stride,
+                "{name}: fuel N - 1 samples at {stride}"
+            );
+            // One VM, two requests: counters reset, profile and sampler
+            // carry over.
+            let (runs, profiled, taken) = reused_vm(&checked, &code, Some(n), stride, 2);
+            assert_eq!(runs, vec![(unlimited.clone(), n); 2], "{name}: reused");
+            assert_eq!(profiled, 2 * n, "{name}: reused profile");
+            assert_eq!(taken, 2 * n / stride, "{name}: reused samples at {stride}");
+            let (runs, profiled, taken) = reused_vm(&checked, &code, Some(n - 1), stride, 2);
+            assert_eq!(
+                runs,
+                vec![(Err(RtError::OutOfFuel), n); 2],
+                "{name}: reused, out of fuel"
+            );
+            assert_eq!(profiled, 2 * n, "{name}: reused profile, out of fuel");
+            assert_eq!(
+                taken,
+                2 * (n - 1) / stride,
+                "{name}: reused samples, out of fuel"
+            );
+        }
+    }
 }

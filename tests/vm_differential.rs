@@ -34,8 +34,8 @@ enum Outcome {
 fn run_on(compiled: &jns_core::Compiled, backend: Backend) -> Outcome {
     match compiled.run_on(backend) {
         Ok(out) => Outcome::Ok {
+            value: corpus::value_shape(&out),
             output: out.output,
-            value: format!("{:?}", out.value),
             allocs: out.stats.allocs,
             calls: out.stats.calls,
             views_explicit: out.stats.views_explicit,
@@ -219,4 +219,30 @@ fn service_evolution_is_equivalent() {
         print d.dispatch(p0);
         print s.handled;"#;
     assert_equivalent("service_evolution", &service::program(main_body), None);
+}
+
+/// A final reference compares across backends by location, view and the
+/// mask set its engine's table resolves the id to. Here the VM interns
+/// the cast's `\y` set, which the tree-walker never materialises, so the
+/// two engines give `\x` different ids for the same set.
+#[test]
+fn final_references_compare_by_resolved_mask_sets() {
+    let src = r#"class A { class C { int x = 1; int y = 2; } }
+         class B extends A { class C shares A.C { } }
+         main {
+           final A!.C a = new A.C();
+           final A.C\y t = (cast A.C\y)a;
+           (view B!.C\x)a;
+         }"#;
+    let compiled = Compiler::new().compile(src).unwrap();
+    let runs = [Backend::TreeWalk, Backend::Vm].map(|b| compiled.run_on(b).unwrap());
+    let [tree, vm] = &runs;
+    let ids = runs
+        .each_ref()
+        .map(|out| out.value.as_ref_val().unwrap().masks);
+    assert_ne!(ids[0], ids[1], "ids are engine-local");
+    let x = compiled.program.table.intern("x");
+    assert_eq!(tree.value_masks, [x].into());
+    assert_eq!(corpus::value_shape(tree), corpus::value_shape(vm));
+    assert_equivalent("final_masked_reference", src, None);
 }
