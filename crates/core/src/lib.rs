@@ -228,6 +228,8 @@ pub struct Compiled {
 /// The result of a program run.
 #[derive(Debug)]
 pub struct RunOutput {
+    /// The engine that ran the program.
+    pub backend: Backend,
     /// Lines produced by `print`.
     pub output: Vec<String>,
     /// The final value of `main`. A reference's [`jns_eval::MaskId`] is
@@ -254,6 +256,29 @@ pub struct RunOutput {
     /// via [`Compiled::run_with`] with a sample stride, on the VM
     /// backend.
     pub samples: Option<jns_obs::ProfileSamples>,
+}
+
+impl RunOutput {
+    /// This run's `jns-profile/1` document, as `jns run --vm
+    /// --profile-json` writes it: the counters of [`Stats::counters`],
+    /// the chunk and inline-cache-site profiles and the samples (the
+    /// tree-walker fills none of the three). `program` names the source.
+    pub fn profile(&self, program: &str) -> jns_obs::RunProfile {
+        let backend = if self.backend == Backend::Vm {
+            "vm"
+        } else {
+            "treewalk"
+        };
+        jns_obs::RunProfile {
+            backend: backend.into(),
+            program: program.into(),
+            counters: self.stats.counters(),
+            chunks: self.chunk_profile.clone(),
+            ic_sites: self.ic_profile.clone(),
+            histograms: Vec::new(),
+            samples: self.samples.clone(),
+        }
+    }
 }
 
 /// Observability options for one run (all off by default, in which case
@@ -317,6 +342,7 @@ impl Compiled {
                 }
                 let value = m.run()?;
                 Ok(RunOutput {
+                    backend,
                     output: std::mem::take(&mut m.output),
                     value_masks: resolved_masks(&value, m.mask_table()),
                     value,
@@ -342,6 +368,7 @@ impl Compiled {
                     stacks: vm.folded_samples(),
                 });
                 Ok(RunOutput {
+                    backend,
                     output: std::mem::take(&mut vm.output),
                     value_masks: resolved_masks(&value, vm.mask_table()),
                     value,

@@ -16,9 +16,11 @@
 //! - **[`TraceBuffer`] / [`TraceEvent`]** — bounded, timestamped,
 //!   structured event buffers (front-end phases, request start/end, GC
 //!   runs, inline-cache miss resolutions) drained to JSON Lines via
-//!   [`trace::jsonl`]. Every runtime hook is a branch on an `Option`
-//!   sink: tracing off means no buffer, no allocation, and byte-identical
-//!   outputs and statistics.
+//!   [`trace::jsonl`] and read back by its inverse [`trace::parse_jsonl`],
+//!   the one reader behind `obs-check trace`, `jns trace-report` and the
+//!   tests. Every runtime hook is a branch on an `Option` sink: tracing
+//!   off means no buffer, no allocation, and byte-identical outputs and
+//!   statistics.
 //! - **[`RunProfile`]** — stable-schema (`jns-profile/1`) machine-readable
 //!   profile export: flat counters, per-chunk instruction counts, per-site
 //!   IC hit/miss attribution, histograms, and (optionally) the sampling
@@ -50,6 +52,6 @@ pub use profile::{
 };
 pub use stats::{mad, median, sample_us, SampleConfig, Summary};
 pub use trace::{
-    jsonl, merge_events, IcKind, TimedEvent, TraceBuffer, TraceEvent, DEFAULT_TRACE_CAP,
-    TRACE_SCHEMA,
+    jsonl, merge_events, parse_jsonl, IcKind, TimedEvent, TraceBuffer, TraceEvent,
+    DEFAULT_TRACE_CAP, GC_KINDS, TRACE_SCHEMA,
 };

@@ -38,7 +38,7 @@ pub mod workload;
 
 use jns_core::{Compiled, SharedProgram};
 use jns_eval::{RunConfig, Stats};
-use jns_obs::{Histogram, TimedEvent, TraceBuffer, TraceEvent};
+use jns_obs::{Histogram, RunProfile, TimedEvent, TraceBuffer, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -272,16 +272,15 @@ impl RequestQueue {
 /// `shutdown`, which joins them and returns every response.
 pub struct Pool {
     queue: Arc<RequestQueue>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Vec<JoinHandle<WorkerTelemetry>>,
     tx: Option<Sender<Response>>,
     rx: Receiver<Response>,
     submitted: u64,
-    telemetry: Arc<Mutex<Vec<Option<WorkerTelemetry>>>>,
     sample_stride: Option<u64>,
 }
 
-/// What one worker thread hands back when it exits: its latency
-/// histogram shards, request count, and (when tracing) its event buffer.
+/// What one worker thread returns when it exits: its latency histogram
+/// shards, request count, and (when tracing) its event buffer.
 #[derive(Debug, Default)]
 struct WorkerTelemetry {
     queue_wait: Histogram,
@@ -305,11 +304,6 @@ impl Pool {
         // One shared clock origin so event timestamps from different
         // workers order correctly after the shutdown merge.
         let origin = Instant::now();
-        let telemetry = Arc::new(Mutex::new(
-            (0..n)
-                .map(|_| None)
-                .collect::<Vec<Option<WorkerTelemetry>>>(),
-        ));
         let run = cfg.run_config();
         let mut workers = Vec::with_capacity(n);
         for w in 0..n {
@@ -319,7 +313,6 @@ impl Pool {
             let trace = cfg.trace;
             let trace_cap = cfg.trace_cap;
             let sample_stride = cfg.sample_stride;
-            let telemetry = Arc::clone(&telemetry);
             let t = std::thread::Builder::new()
                 .name(format!("jns-serve-{w}"))
                 .spawn(move || {
@@ -385,7 +378,7 @@ impl Pool {
                         tele.samples_taken = vm.samples_taken();
                     }
                     tele.heap_limit = vm.heap_limit();
-                    telemetry.lock().expect("telemetry poisoned")[w] = Some(tele);
+                    tele
                 })
                 .expect("spawn jns-serve worker");
             workers.push(t);
@@ -396,7 +389,6 @@ impl Pool {
             tx: Some(tx),
             rx,
             submitted: 0,
-            telemetry,
             sample_stride: cfg.sample_stride,
         }
     }
@@ -420,6 +412,7 @@ impl Pool {
 
     /// Closes the queue, joins every worker, and returns all remaining
     /// responses (anything not already taken via [`Pool::try_collect`]).
+    /// Re-raises a worker's panic, as [`Pool::shutdown_report`] does.
     pub fn shutdown(self) -> Vec<Response> {
         self.shutdown_report().0
     }
@@ -427,11 +420,18 @@ impl Pool {
     /// Like [`Pool::shutdown`], but also merges every worker's telemetry
     /// shards (latency histograms, request counts, trace events) and the
     /// queue's back-pressure gauges into one [`PoolTelemetry`].
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of a worker that panicked, once every worker
+    /// has been joined.
     pub fn shutdown_report(mut self) -> (Vec<Response>, PoolTelemetry) {
         self.queue.close();
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
+        let joined: Vec<_> = self.workers.drain(..).map(JoinHandle::join).collect();
+        let shards: Vec<WorkerTelemetry> = joined
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect();
         drop(self.tx.take()); // after join: workers cloned it anyway
         let mut out: Vec<Response> = self.rx.iter().collect();
         out.sort_by_key(|r| r.id);
@@ -439,25 +439,22 @@ impl Pool {
         let (high_water, blocked) = self.queue.gauges();
         tele.queue_high_water = high_water;
         tele.submit_blocked = blocked;
-        let mut slots = self.telemetry.lock().expect("telemetry poisoned");
-        let mut shards = Vec::with_capacity(slots.len());
+        let mut events = Vec::with_capacity(shards.len());
         let mut stacks: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
         let mut taken = 0u64;
-        for slot in slots.drain(..) {
-            let wt = slot.unwrap_or_default(); // worker panicked: no shard
+        for wt in shards {
             tele.queue_wait.merge(&wt.queue_wait);
             tele.exec.merge(&wt.exec);
             tele.worker_requests.push(wt.requests);
             tele.worker_heap_limits.push(wt.heap_limit);
-            shards.push(wt.events);
+            events.push(wt.events);
             tele.trace_dropped += wt.dropped;
             for (stack, n) in wt.sample_stacks {
                 *stacks.entry(stack).or_insert(0) += n;
             }
             taken += wt.samples_taken;
         }
-        drop(slots);
-        tele.trace_events = jns_obs::merge_events(shards);
+        tele.trace_events = jns_obs::merge_events(events);
         tele.samples = self.sample_stride.map(|stride| jns_obs::ProfileSamples {
             stride,
             taken,
@@ -533,6 +530,26 @@ impl ServeReport {
             return f64::INFINITY;
         }
         self.responses.len() as f64 / secs
+    }
+
+    /// The batch's `jns-profile/1` document, as `jns serve
+    /// --profile-json` writes it: the aggregate's [`Stats::counters`],
+    /// the queue-wait and execution histograms and the merged samples.
+    /// `program` names the source.
+    pub fn profile(&self, program: &str) -> RunProfile {
+        let t = &self.telemetry;
+        RunProfile {
+            backend: "serve".into(),
+            program: program.into(),
+            counters: self.aggregate.counters(),
+            chunks: Vec::new(),
+            ic_sites: Vec::new(),
+            histograms: vec![
+                ("queue_wait_us", t.queue_wait.clone()),
+                ("exec_us", t.exec.clone()),
+            ],
+            samples: t.samples.clone(),
+        }
     }
 
     /// Whether every response succeeded and produced byte-identical

@@ -8,9 +8,10 @@
 //!           [--sample-stride N] <file.jns>
 //!       parse, type-check, and run a program (tree-walking interpreter
 //!       by default; `--vm` selects the bytecode VM; `--stats` prints
-//!       execution statistics, inline-cache hit rates, the dispatch
-//!       engine's fusion count, and the VM's per-chunk instruction
-//!       profile; `--no-fuse` disables the dispatch engine's
+//!       the front-end times, the run's counters — one `key value` line
+//!       each, exactly the `counters` `--profile-json` writes — the
+//!       still-polymorphic inline-cache sites and the VM's per-chunk
+//!       instruction profile; `--no-fuse` disables the dispatch engine's
 //!       superinstruction fusion (an ablation knob); `--fuel` bounds
 //!       the run to N steps (AST nodes on the tree-walker, instructions
 //!       on the VM; no bound by default), so a looping program ends
@@ -45,10 +46,12 @@
 //!       into the same `jns_core::RunConfig`: `--fuel` bounds every
 //!       request, the heap resets per
 //!       request, and with `--heap-limit` each worker also collects
-//!       *within* a request; `--stats` adds latency percentiles and
-//!       queue back-pressure gauges, `--trace` merges every worker's
-//!       event buffer into one JSONL stream, `--profile-json` exports
-//!       aggregate counters plus queue-wait/exec histograms
+//!       *within* a request; `--stats` adds the aggregate counters
+//!       (printed as `run --stats` prints a run's), latency percentiles
+//!       and queue back-pressure gauges, `--trace` writes the front-end
+//!       phase events followed by every worker's event buffer, merged
+//!       into one JSONL stream, `--profile-json` exports the aggregate
+//!       counters plus queue-wait/exec histograms
 //!   jns bench [--suite NAME]… [--repeat N] [--warmup N] [--out-dir DIR]
 //!       the bench driver: runs the benchmark suites (`vm`, `dispatch`,
 //!       `gc`, `serve`, `paper` — all five by default) with warmup
@@ -62,13 +65,15 @@
 //!   jns trace-report <file.jsonl>
 //!       analyzes a `--trace` JSONL stream: phase timings, request
 //!       latency table, GC pauses, the top inline-cache-miss sites, and
-//!       a warning when events were dropped
+//!       a warning when events were dropped. It reads the stream with
+//!       `jns_obs::parse_jsonl`, as `obs-check trace` does: a stream
+//!       that fails there is an error here (exit 1, same message)
 //!   jns --help
 
-use jns_core::{Backend, Compiler, RunConfig, RunOptions, RunOutput};
+use jns_core::{Backend, Compiled, Compiler, RunConfig, RunOptions, RunOutput, Stats};
 use jns_obs::{
-    BenchDoc, BenchEntry, Histogram, Json, RunProfile, SampleConfig, TimedEvent, TraceBuffer,
-    TraceEvent,
+    BenchDoc, BenchEntry, Histogram, RunProfile, SampleConfig, TimedEvent, TraceBuffer, TraceEvent,
+    GC_KINDS,
 };
 use jns_serve::{serve_batch, ServeConfig};
 use std::process::ExitCode;
@@ -230,7 +235,7 @@ fn write_artifacts(
     Ok(())
 }
 
-fn print_front_end(compiled: &jns_core::Compiled) {
+fn print_front_end(compiled: &Compiled) {
     let t = compiled.timings();
     let c = t.check_phases;
     eprintln!(
@@ -239,45 +244,40 @@ fn print_front_end(compiled: &jns_core::Compiled) {
     );
 }
 
+/// The front-end phase events of `compiled`: parse, check and its four
+/// phases, and `lower` when `backend` runs the lowered bytecode.
+fn phase_events(compiled: &Compiled, backend: Backend) -> Vec<TraceEvent> {
+    let t = compiled.timings();
+    let c = t.check_phases;
+    let mut phases = vec![
+        ("parse", t.parse_us),
+        ("check", t.check_us),
+        ("check.resolve", c.resolve_us),
+        ("check.sharing", c.sharing_us),
+        ("check.bodies", c.bodies_us),
+        ("check.constraints", c.constraints_us),
+    ];
+    if backend == Backend::Vm {
+        phases.push(("lower", compiled.bytecode().lower_micros));
+    }
+    phases
+        .into_iter()
+        .map(|(name, micros)| TraceEvent::Phase {
+            name: name.to_string(),
+            micros,
+        })
+        .collect()
+}
+
+/// Prints the counters `--profile-json` writes, one `key value` line each.
+fn print_counters(stats: &Stats) {
+    for (key, value) in stats.counters() {
+        eprintln!("{key:<15} {value}");
+    }
+}
+
 fn print_stats(out: &RunOutput, total_chunks: usize) {
-    let s = &out.stats;
-    eprintln!("steps           {}", s.steps);
-    eprintln!("allocs          {}", s.allocs);
-    eprintln!("calls           {}", s.calls);
-    eprintln!("views explicit  {}", s.views_explicit);
-    eprintln!("views implicit  {}", s.views_implicit);
-    eprintln!("mask allocs     {}", s.mask_allocs);
-    eprintln!("folded ops      {}", s.folded);
-    eprintln!("peak live heap  {}", s.peak_live);
-    if s.gc_runs > 0 {
-        if s.minor_runs > 0 {
-            eprintln!(
-                "gc              {} runs ({} minor / {} major), {} objects reclaimed",
-                s.gc_runs, s.minor_runs, s.major_runs, s.reclaimed
-            );
-            eprintln!(
-                "gc nursery      {} promoted, {} write-barrier hits",
-                s.promoted, s.barrier_hits
-            );
-        } else {
-            eprintln!(
-                "gc              {} runs, {} objects reclaimed",
-                s.gc_runs, s.reclaimed
-            );
-        }
-    }
-    let probes = s.ic_hits + s.ic_misses;
-    if probes > 0 {
-        eprintln!(
-            "inline caches   {} hits / {} misses ({:.1}% hit rate)",
-            s.ic_hits,
-            s.ic_misses,
-            100.0 * s.ic_hits as f64 / probes as f64
-        );
-    }
-    if s.fused > 0 {
-        eprintln!("dispatch engine {} fused sites", s.fused);
-    }
+    print_counters(&out.stats);
     // Polymorphic sites scan more than one cache entry per probe;
     // listing them points at the next optimisation target.
     let mut poly: Vec<_> = out.ic_profile.iter().filter(|p| p.entries >= 2).collect();
@@ -320,7 +320,7 @@ fn print_stats(out: &RunOutput, total_chunks: usize) {
     }
 }
 
-fn compile_file(path: &str, compiler: Compiler) -> Result<jns_core::Compiled, ExitCode> {
+fn compile_file(path: &str, compiler: Compiler) -> Result<Compiled, ExitCode> {
     let src = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -372,23 +372,8 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
     // before the run appends GC and inline-cache-miss events.
     let trace_buf = flags.trace.as_ref().map(|_| {
         let mut buf = TraceBuffer::new(jns_obs::DEFAULT_TRACE_CAP);
-        let t = compiled.timings();
-        let c = t.check_phases;
-        for (name, micros) in [
-            ("parse", t.parse_us),
-            ("check", t.check_us),
-            ("check.resolve", c.resolve_us),
-            ("check.sharing", c.sharing_us),
-            ("check.bodies", c.bodies_us),
-            ("check.constraints", c.constraints_us),
-        ] {
-            buf.push(TraceEvent::Phase { name, micros });
-        }
-        if backend == Backend::Vm {
-            buf.push(TraceEvent::Phase {
-                name: "lower",
-                micros: compiled.bytecode().lower_micros,
-            });
+        for e in phase_events(&compiled, backend) {
+            buf.push(e);
         }
         buf
     });
@@ -413,16 +398,7 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
                 .trace
                 .as_ref()
                 .map_or((&[][..], 0), |b| (b.events(), b.dropped()));
-            let profile = RunProfile {
-                backend: "vm".into(),
-                program: path,
-                counters: out.stats.counters(),
-                chunks: out.chunk_profile,
-                ic_sites: out.ic_profile,
-                histograms: Vec::new(),
-                samples: out.samples,
-            };
-            match write_artifacts(&flags, events, dropped, profile, "the program") {
+            match write_artifacts(&flags, events, dropped, out.profile(&path), "the program") {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(code) => code,
             }
@@ -467,33 +443,7 @@ fn report_serve(report: &jns_serve::ServeReport, show_stats: bool) {
         report.heap_reclaimed,
     );
     if show_stats {
-        let a = &report.aggregate;
-        eprintln!(
-            "aggregate: steps {} allocs {} calls {} views {}+{} mask allocs {}",
-            a.steps, a.allocs, a.calls, a.views_explicit, a.views_implicit, a.mask_allocs
-        );
-        // Intra-request GC (the per-request region resets are the "heap
-        // objects reclaimed" figure in the summary line above).
-        if a.minor_runs > 0 {
-            eprintln!(
-                "aggregate: gc {} runs ({} minor / {} major), {} objects reclaimed in-request, peak live heap {}, {} promoted, {} barrier hits",
-                a.gc_runs, a.minor_runs, a.major_runs, a.reclaimed, a.peak_live, a.promoted, a.barrier_hits
-            );
-        } else {
-            eprintln!(
-                "aggregate: gc {} runs, {} objects reclaimed in-request, peak live heap {}",
-                a.gc_runs, a.reclaimed, a.peak_live
-            );
-        }
-        let probes = a.ic_hits + a.ic_misses;
-        if probes > 0 {
-            eprintln!(
-                "aggregate: inline caches {} hits / {} misses ({:.1}% hit rate)",
-                a.ic_hits,
-                a.ic_misses,
-                100.0 * a.ic_hits as f64 / probes as f64
-            );
-        }
+        print_counters(&report.aggregate);
         let t = &report.telemetry;
         if t.exec.count() > 0 {
             eprintln!("latency: queue wait  {}", t.queue_wait.render_line("µs"));
@@ -566,23 +516,21 @@ fn cmd_serve(mut args: Vec<String>) -> ExitCode {
     };
     let report = serve_batch(&compiled, &cfg, requests);
     let t = &report.telemetry;
-    let profile = RunProfile {
-        backend: "serve".into(),
-        program: path.clone(),
-        counters: report.aggregate.counters(),
-        chunks: Vec::new(),
-        ic_sites: Vec::new(),
-        histograms: vec![
-            ("queue_wait_us", t.queue_wait.clone()),
-            ("exec_us", t.exec.clone()),
-        ],
-        samples: t.samples.clone(),
-    };
+    // The front-end phases come first, at t_us 0 with no worker.
+    let events: Vec<TimedEvent> = phase_events(&compiled, Backend::Vm)
+        .into_iter()
+        .map(|event| TimedEvent {
+            t_us: 0,
+            worker: None,
+            event,
+        })
+        .chain(t.trace_events.iter().cloned())
+        .collect();
     if let Err(code) = write_artifacts(
         &flags,
-        &t.trace_events,
+        &events,
         t.trace_dropped,
-        profile,
+        report.profile(path),
         "requests",
     ) {
         return code;
@@ -703,20 +651,6 @@ fn cmd_bench(mut args: Vec<String>) -> ExitCode {
     }
 }
 
-/// Accumulated GC figures for the trace report, split by collection
-/// kind. Events without a `kind` field (traces from before generational
-/// collection) count as major — every collection was a full one then.
-#[derive(Default)]
-struct GcSummary {
-    runs: u64,
-    minor_runs: u64,
-    major_runs: u64,
-    minor_pause_us: u64,
-    major_pause_us: u64,
-    reclaimed: u64,
-    peak_live: u64,
-}
-
 /// `jns trace-report`: a human-readable digest of a `--trace` stream.
 fn cmd_trace_report(args: Vec<String>) -> ExitCode {
     let [_, path] = args.as_slice() else {
@@ -729,124 +663,82 @@ fn cmd_trace_report(args: Vec<String>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut lines = text.lines();
-    let header = match lines.next().map(jns_obs::json::parse) {
-        Some(Ok(h)) => h,
-        Some(Err(e)) => {
-            eprintln!("error: {path}: bad header: {e}");
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!("error: {path}: empty trace file");
+    let (events, dropped) = match jns_obs::parse_jsonl(&text) {
+        Ok(read) => read,
+        Err(e) => {
+            eprintln!("error: {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if header.get("ev").and_then(Json::as_str) != Some("trace_start")
-        || header.get("schema").and_then(Json::as_str) != Some(jns_obs::TRACE_SCHEMA)
-    {
-        eprintln!(
-            "error: {path}: first line must be a {} trace_start header",
-            jns_obs::TRACE_SCHEMA
-        );
-        return ExitCode::FAILURE;
-    }
-    let dropped = header.get("dropped").and_then(Json::as_u64).unwrap_or(0);
-
-    let mut phases: Vec<(String, u64)> = Vec::new();
+    let mut phases: Vec<(&str, u64)> = Vec::new();
     let mut queue_wait = Histogram::new();
     let mut exec = Histogram::new();
-    let mut requests = 0u64;
     let mut failed = 0u64;
-    let mut gc = GcSummary::default();
-    let mut ic_misses: std::collections::BTreeMap<(String, u64), u64> =
+    // Runs and pause time per collection kind, in `GC_KINDS` order.
+    let mut gc_kinds = GC_KINDS.map(|kind| (kind, 0u64, 0u64));
+    let (mut reclaimed, mut peak_live) = (0u64, 0u64);
+    let mut ic_misses: std::collections::BTreeMap<(&str, u32), u64> =
         std::collections::BTreeMap::new();
-    let mut events = 0u64;
-    for (i, line) in lines.enumerate() {
-        let ev = match jns_obs::json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {path}: line {}: {e}", i + 2);
-                return ExitCode::FAILURE;
+    for e in &events {
+        match &e.event {
+            TraceEvent::Phase { name, micros } => phases.push((name, *micros)),
+            TraceEvent::RequestStart { .. } => {}
+            TraceEvent::RequestEnd {
+                ok,
+                queue_us,
+                exec_us,
+                ..
+            } => {
+                failed += u64::from(!ok);
+                queue_wait.record(*queue_us);
+                exec.record(*exec_us);
             }
-        };
-        events += 1;
-        let num = |key: &str| ev.get(key).and_then(Json::as_u64).unwrap_or(0);
-        match ev.get("ev").and_then(Json::as_str) {
-            Some("phase") => {
-                let name = ev
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string();
-                phases.push((name, num("micros")));
-            }
-            Some("request_start") => {}
-            Some("request_end") => {
-                requests += 1;
-                if ev.get("ok").and_then(Json::as_bool) == Some(false) {
-                    failed += 1;
-                }
-                queue_wait.record(num("queue_us"));
-                exec.record(num("exec_us"));
-            }
-            Some("gc") => {
-                gc.runs += 1;
-                gc.reclaimed += num("reclaimed");
-                gc.peak_live = gc.peak_live.max(num("peak_live"));
-                if ev.get("kind").and_then(Json::as_str) == Some("minor") {
-                    gc.minor_runs += 1;
-                    gc.minor_pause_us += num("pause_us");
-                } else {
-                    gc.major_runs += 1;
-                    gc.major_pause_us += num("pause_us");
+            TraceEvent::Gc {
+                kind,
+                reclaimed: r,
+                peak_live: p,
+                pause_us,
+                ..
+            } => {
+                reclaimed += r;
+                peak_live = peak_live.max(*p);
+                for (k, runs, paused) in &mut gc_kinds {
+                    if k == kind {
+                        *runs += 1;
+                        *paused += pause_us;
+                    }
                 }
             }
-            Some("ic_miss") => {
-                let kind = ev
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?")
-                    .to_string();
-                *ic_misses.entry((kind, num("site"))).or_insert(0) += 1;
-            }
-            _ => {
-                eprintln!("error: {path}: line {}: missing or unknown ev tag", i + 2);
-                return ExitCode::FAILURE;
+            TraceEvent::IcMiss { kind, site, .. } => {
+                *ic_misses.entry((kind.as_str(), *site)).or_insert(0) += 1;
             }
         }
     }
 
-    println!("trace: {events} events");
+    println!("trace: {} events", events.len());
     if !phases.is_empty() {
         println!("phases:");
         for (name, us) in &phases {
             println!("  {name:<17} {us:>8} µs");
         }
     }
-    if requests > 0 {
-        println!("requests: {requests} ({} failed)", failed);
+    if exec.count() > 0 {
+        println!("requests: {} ({failed} failed)", exec.count());
         println!("  queue wait {}", queue_wait.render_line("µs"));
         println!("  execution  {}", exec.render_line("µs"));
     }
-    if gc.runs > 0 {
-        println!(
-            "gc: {} runs, {} objects reclaimed, peak live {}",
-            gc.runs, gc.reclaimed, gc.peak_live
-        );
-        println!(
-            "  minor {:>4} runs, {:>8} µs paused",
-            gc.minor_runs, gc.minor_pause_us
-        );
-        println!(
-            "  major {:>4} runs, {:>8} µs paused",
-            gc.major_runs, gc.major_pause_us
-        );
+    let gc_runs: u64 = gc_kinds.iter().map(|(_, runs, _)| runs).sum();
+    if gc_runs > 0 {
+        println!("gc: {gc_runs} runs, {reclaimed} objects reclaimed, peak live {peak_live}");
+        for (kind, runs, paused) in gc_kinds {
+            println!("  {kind} {runs:>4} runs, {paused:>8} µs paused");
+        }
     }
     if !ic_misses.is_empty() {
         let total: u64 = ic_misses.values().sum();
         // Hottest miss sites first; site index breaks ties so the order
         // is deterministic.
-        let mut sites: Vec<(&(String, u64), &u64)> = ic_misses.iter().collect();
+        let mut sites: Vec<(&(&str, u32), &u64)> = ic_misses.iter().collect();
         sites.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
         println!("inline-cache misses: {total} across {} sites", sites.len());
         for ((kind, site), n) in sites.into_iter().take(8) {

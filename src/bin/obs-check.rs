@@ -5,7 +5,9 @@
 //!                                   (from `--profile-json`; the optional
 //!                                   `samples` section is checked too)
 //!   obs-check trace <file.jsonl>    a `jns-trace/1` JSON Lines stream
-//!                                   (from `--trace`)
+//!                                   (from `--trace`; read by
+//!                                   `jns_obs::parse_jsonl`, the reader
+//!                                   `jns trace-report` uses too)
 //!   obs-check bench <file.json>     a `jns-bench/2` suite document
 //!                                   (from `jns bench`)
 //!   obs-check folded <file.txt>     collapsed-stack sampler output
@@ -14,7 +16,6 @@
 //! Exits 0 when the artifact parses and conforms; prints the first
 //! violation and exits 1 otherwise.
 
-use jns_obs::Json;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -32,66 +33,8 @@ fn check_profile(path: &str) -> Result<(), String> {
     jns_obs::validate_profile(&doc)
 }
 
-/// Validates the JSONL stream: a `trace_start` header carrying the
-/// schema id and an accurate event count, then one well-formed event
-/// object per line with a known `ev` tag and a numeric timestamp.
 fn check_trace(path: &str) -> Result<(), String> {
-    let text = read(path)?;
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        return Err("empty trace file".to_string());
-    };
-    let header = jns_obs::json::parse(header)?;
-    if header.get("ev").and_then(Json::as_str) != Some("trace_start") {
-        return Err("first line must be the trace_start header".to_string());
-    }
-    if header.get("schema").and_then(Json::as_str) != Some(jns_obs::TRACE_SCHEMA) {
-        return Err(format!("header schema must be {:?}", jns_obs::TRACE_SCHEMA));
-    }
-    let declared = header
-        .get("events")
-        .and_then(Json::as_u64)
-        .ok_or("header needs a numeric `events` count")?;
-    if header.get("dropped").and_then(Json::as_u64).is_none() {
-        return Err("header needs a numeric `dropped` count".to_string());
-    }
-    let mut seen = 0u64;
-    let mut last_t = 0u64;
-    for (i, line) in lines {
-        let ev = jns_obs::json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let t = ev
-            .get("t_us")
-            .and_then(Json::as_u64)
-            .ok_or(format!("line {}: missing numeric t_us", i + 1))?;
-        if t < last_t {
-            return Err(format!("line {}: timestamps must be non-decreasing", i + 1));
-        }
-        last_t = t;
-        let tag = ev
-            .get("ev")
-            .and_then(Json::as_str)
-            .ok_or(format!("line {}: missing ev tag", i + 1))?;
-        let required: &[&str] = match tag {
-            "phase" => &["name", "micros"],
-            "request_start" => &["id"],
-            "request_end" => &["id", "ok", "queue_us", "exec_us"],
-            "gc" => &["kind", "reclaimed", "live", "peak_live", "pause_us"],
-            "ic_miss" => &["kind", "site", "view"],
-            other => return Err(format!("line {}: unknown ev tag {other:?}", i + 1)),
-        };
-        for key in required {
-            if ev.get(key).is_none() {
-                return Err(format!("line {}: {tag} event needs `{key}`", i + 1));
-            }
-        }
-        seen += 1;
-    }
-    if seen != declared {
-        return Err(format!(
-            "header declares {declared} events, file has {seen}"
-        ));
-    }
-    Ok(())
+    jns_obs::parse_jsonl(&read(path)?).map(|_| ())
 }
 
 fn check_bench(path: &str) -> Result<(), String> {

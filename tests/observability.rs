@@ -4,13 +4,16 @@
 //!   trace buffer attached produces byte-identical output, value, and
 //!   statistics to running without one, on both backends. Every runtime
 //!   hook must stay a branch on a `None` sink.
-//! - **Trace streams are well-formed.** The JSONL export parses line by
-//!   line, carries the `jns-trace/1` schema header, and every event has
-//!   its tag's required fields.
+//! - **Trace streams are well-formed.** The JSONL export reads back
+//!   through the one trace reader, `jns_obs::parse_jsonl`, into exactly
+//!   the events written; `obs-check trace` and `jns trace-report` give a
+//!   broken stream the same verdict and message; a serve trace starts
+//!   with the same front-end phase events as a run's.
 //! - **Profiles are well-formed and faithful.** The `jns-profile/1`
 //!   document round-trips through the parser, validates, and its
 //!   counters agree with the run's `Stats`; per-site IC hits/misses sum
-//!   to the aggregate counters.
+//!   to the aggregate counters. `--stats` prints exactly the profile's
+//!   counters, on `run` and on `serve`.
 //! - **Serve telemetry adds up.** Histogram counts equal the response
 //!   count, per-worker request counts sum to the total, the queue
 //!   high-water mark respects capacity, and the traced request
@@ -26,7 +29,7 @@
 //!   usage error there, and no artifact gets written.
 
 use jns_core::{Backend, Compiler, RunOptions, RunOutput};
-use jns_obs::{Json, TraceBuffer, TraceEvent};
+use jns_obs::{Json, TimedEvent, TraceBuffer, TraceEvent};
 use jns_serve::{serve_batch, ServeConfig};
 use std::path::Path;
 use std::process::{Command, Output};
@@ -110,65 +113,37 @@ fn corpus_trace_streams_are_schema_valid_jsonl() {
         };
         let buf = out.trace.expect("traced run returns its buffer");
         let text = jns_obs::jsonl(buf.events(), buf.dropped());
-        let mut lines = text.lines();
-        let header = jns_obs::json::parse(lines.next().expect("header line"))
-            .unwrap_or_else(|e| panic!("{name}: header parses: {e}"));
         assert_eq!(
-            header.get("schema").and_then(Json::as_str),
-            Some(jns_obs::TRACE_SCHEMA),
-            "{name}: schema id"
+            jns_obs::parse_jsonl(&text),
+            Ok((buf.events().to_vec(), buf.dropped())),
+            "{name}: the stream reads back as written"
         );
-        assert_eq!(
-            header.get("events").and_then(Json::as_u64),
-            Some(buf.events().len() as u64),
-            "{name}: header event count"
-        );
-        let mut last_t = 0;
-        for (i, line) in lines.enumerate() {
-            let ev = jns_obs::json::parse(line)
-                .unwrap_or_else(|e| panic!("{name} line {}: parses: {e}", i + 2));
-            let t = ev
-                .get("t_us")
-                .and_then(Json::as_u64)
-                .unwrap_or_else(|| panic!("{name} line {}: t_us", i + 2));
-            assert!(t >= last_t, "{name} line {}: timestamps ordered", i + 2);
-            last_t = t;
-            let tag = ev.get("ev").and_then(Json::as_str).expect("ev tag");
-            let required: &[&str] = match tag {
-                "gc" => &["reclaimed", "live", "peak_live"],
-                "ic_miss" => &["kind", "site", "view"],
-                "phase" => &["name", "micros"],
-                other => panic!("{name}: unexpected event {other:?} in a plain run"),
-            };
-            for key in required {
-                assert!(
-                    ev.get(key).is_some(),
-                    "{name} line {}: {tag} needs {key}",
-                    i + 2
-                );
-            }
+        for e in buf.events() {
+            assert!(
+                !matches!(
+                    e.event,
+                    TraceEvent::RequestStart { .. } | TraceEvent::RequestEnd { .. }
+                ),
+                "{name}: request event {e:?} in a plain run"
+            );
         }
     }
 }
 
 /// The sums that must tie a profile back to the run that produced it.
 fn assert_profile_faithful(name: &str, out: &RunOutput) {
-    let profile = jns_obs::RunProfile {
-        backend: "vm".into(),
-        program: name.into(),
-        counters: vec![
-            ("steps", out.stats.steps),
-            ("ic_hits", out.stats.ic_hits),
-            ("ic_misses", out.stats.ic_misses),
-        ],
-        chunks: out.chunk_profile.clone(),
-        ic_sites: out.ic_profile.clone(),
-        histograms: Vec::new(),
-        samples: None,
-    };
-    let doc = jns_obs::json::parse(&profile.to_json())
+    let doc = jns_obs::json::parse(&out.profile(name).to_json())
         .unwrap_or_else(|e| panic!("{name}: profile parses: {e}"));
     jns_obs::validate_profile(&doc).unwrap_or_else(|e| panic!("{name}: profile validates: {e}"));
+    assert_eq!(
+        counters_of(&doc),
+        out.stats
+            .counters()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect::<Vec<_>>(),
+        "{name}: the document carries the run's counters"
+    );
     let hits: u64 = out.ic_profile.iter().map(|s| s.hits).sum();
     let misses: u64 = out.ic_profile.iter().map(|s| s.misses).sum();
     assert_eq!(
@@ -434,7 +409,7 @@ fn fuel_flag_bounds_a_looping_program_on_run_and_serve() {
     );
     let err = out_of_fuel(&serve);
     assert!(err.contains("4 requests (0 ok)"), "{err}");
-    assert!(err.contains("aggregate: steps 40004 "), "{err}");
+    assert!(err.contains("\nsteps           40004\n"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -472,5 +447,230 @@ fn check_takes_only_stats_and_rejects_run_flags() {
         String::from_utf8_lossy(&out.stderr).starts_with("front end "),
         "{out:?}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A profile document's `counters`, in document order.
+fn counters_of(doc: &Json) -> Vec<(String, u64)> {
+    let Some(Json::Obj(counters)) = doc.get("counters") else {
+        panic!("no counters object in {doc}");
+    };
+    counters
+        .iter()
+        .map(|(k, v)| (k.clone(), v.as_u64().expect("numeric counter")))
+        .collect()
+}
+
+/// The program of CI's observability smoke: 200 allocations in a loop,
+/// so a heap limit of 50 collects (four major collections without a
+/// nursery).
+const OBS_SMOKE: &str = "class A {
+      class C { int x = 0; int get() { return this.x; } }
+      class St { C c = new C(); int n = 200; }
+    }
+    main {
+      final A!.St s = new A.St();
+      while (0 < s.n) {
+        s.c = new A.C { x = s.n };
+        s.n = s.n - 1;
+      }
+      print s.c.get();
+    }";
+
+/// A fresh temporary directory holding `OBS_SMOKE` as `prog.jns`.
+fn smoke_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("jns-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    std::fs::write(dir.join("prog.jns"), OBS_SMOKE).expect("write program");
+    dir
+}
+
+/// `text` with each event line re-encoded after `edit` has changed its
+/// key/value pairs; `edit` also gets the line's (1-based) number.
+fn edit_events(text: &str, edit: impl Fn(usize, &mut Vec<(String, Json)>)) -> String {
+    let mut lines = text.lines();
+    let mut out = format!("{}\n", lines.next().expect("header line"));
+    for (n, line) in (2..).zip(lines) {
+        let Ok(Json::Obj(mut pairs)) = jns_obs::json::parse(line) else {
+            panic!("line {n} is not a JSON object: {line}");
+        };
+        edit(n, &mut pairs);
+        out += &format!("{}\n", Json::Obj(pairs));
+    }
+    out
+}
+
+/// `obs-check trace` and `jns trace-report` read a stream with the same
+/// reader: each broken copy of a recorded trace fails both with exit 1
+/// and the reader's own message, and the intact stream passes both.
+#[test]
+fn broken_traces_get_one_verdict_from_both_readers() {
+    let dir = smoke_dir("broken-trace");
+    let trace = dir.join("t.jsonl");
+    let out = jns(
+        &[
+            "run",
+            "--vm",
+            "--heap-limit",
+            "50",
+            "--trace",
+            trace.to_str().expect("utf-8 temp path"),
+        ],
+        &dir.join("prog.jns"),
+    );
+    assert!(out.status.success(), "{out:?}");
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    let (events, _) = jns_obs::parse_jsonl(&text).expect("the recorded stream is valid");
+    assert!(events.len() > 10, "{text}");
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.event, TraceEvent::Gc { kind: "major", .. })),
+        "{text}"
+    );
+    let lines: Vec<&str> = text.lines().collect();
+    let max_t = events.iter().map(|e| e.t_us).max().expect("events");
+    let broken = [
+        (
+            "truncated",
+            lines[..lines.len() - 10].join("\n") + "\n",
+            "header declares",
+        ),
+        (
+            "no-reclaimed",
+            // Only `gc` events carry `reclaimed`.
+            edit_events(&text, |_, pairs| pairs.retain(|(k, _)| k != "reclaimed")),
+            "missing `reclaimed`",
+        ),
+        (
+            "medium",
+            text.replacen(r#""kind":"major""#, r#""kind":"medium""#, 1),
+            "unknown gc kind \"medium\"",
+        ),
+        (
+            "decreasing",
+            // The first event moves past the last one's time.
+            edit_events(&text, |n, pairs| {
+                for (k, v) in pairs.iter_mut() {
+                    if n == 2 && k == "t_us" {
+                        *v = Json::UInt(max_t + 1);
+                    }
+                }
+            }),
+            "line 3: `t_us` decreases",
+        ),
+    ];
+    let check = |path: &Path| {
+        let obs = Command::new(env!("CARGO_BIN_EXE_obs-check"))
+            .arg("trace")
+            .arg(path)
+            .output()
+            .expect("spawn obs-check");
+        (obs, jns(&["trace-report"], path))
+    };
+    let (obs, report) = check(&trace);
+    assert!(obs.status.success(), "{obs:?}");
+    assert!(report.status.success(), "{report:?}");
+    for (name, copy, cause) in broken {
+        let path = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&path, &copy).expect("write broken copy");
+        let msg = jns_obs::parse_jsonl(&copy).expect_err(name);
+        assert!(msg.contains(cause), "{name}: {msg}");
+        let shown = path.display();
+        let (obs, report) = check(&path);
+        assert_eq!(obs.status.code(), Some(1), "{name}: {obs:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&obs.stderr),
+            format!("{shown}: invalid trace: {msg}\n"),
+            "{name}"
+        );
+        assert_eq!(report.status.code(), Some(1), "{name}: {report:?}");
+        assert!(report.stdout.is_empty(), "{name}: {report:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&report.stderr),
+            format!("error: {shown}: {msg}\n"),
+            "{name}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--stats` prints one `key value` line per counter, exactly the
+/// `counters` object the same invocation's `--profile-json` writes, in
+/// order: on `run --vm` and on `serve`, with the generational keys when
+/// a nursery collected.
+#[test]
+fn stats_prints_exactly_the_profile_counters() {
+    let dir = smoke_dir("stats-counters");
+    let profile = dir.join("profile.json");
+    let profile_arg = profile.to_str().expect("utf-8 temp path");
+    let counter_line = |line: &str| -> Option<(String, u64)> {
+        let (key, value) = line.split_once(' ')?;
+        let is_key = !key.is_empty() && key.bytes().all(|b| b.is_ascii_lowercase() || b == b'_');
+        Some((key.to_string(), value.trim_start().parse().ok()?)).filter(|_| is_key)
+    };
+    let commands: [&[&str]; 2] = [
+        &["run", "--vm"],
+        &["serve", "--workers", "2", "--requests", "4"],
+    ];
+    let flag_sets: [&[&str]; 2] = [&[], &["--heap-limit", "50", "--nursery", "8"]];
+    for cmd in commands {
+        for flags in flag_sets {
+            let args = [cmd, flags, &["--stats", "--profile-json", profile_arg]].concat();
+            let out = jns(&args, &dir.join("prog.jns"));
+            assert!(out.status.success(), "{args:?}: {out:?}");
+            let text = std::fs::read_to_string(&profile).expect("profile written");
+            let want = counters_of(&jns_obs::json::parse(text.trim()).expect("profile parses"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let got: Vec<(String, u64)> = stderr.lines().filter_map(counter_line).collect();
+            assert_eq!(got, want, "{args:?}: {stderr}");
+            let generational = want.iter().any(|(k, _)| k == "minor_runs");
+            assert_eq!(generational, !flags.is_empty(), "{args:?}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A serve trace starts with the front-end phase events `run --vm
+/// --trace` writes (same names, same order, at t_us 0 with no worker),
+/// followed by the workers' request events.
+#[test]
+fn serve_traces_start_with_the_run_phases() {
+    let dir = smoke_dir("serve-phases");
+    let read = |cmd: &[&str]| -> Vec<TimedEvent> {
+        let trace = dir.join("t.jsonl");
+        let args = [cmd, &["--trace", trace.to_str().expect("utf-8 temp path")]].concat();
+        let out = jns(&args, &dir.join("prog.jns"));
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let text = std::fs::read_to_string(&trace).expect("trace written");
+        jns_obs::parse_jsonl(&text).expect("valid trace").0
+    };
+    let phases = |events: &[TimedEvent]| -> Vec<String> {
+        events
+            .iter()
+            .map_while(|e| match &e.event {
+                TraceEvent::Phase { name, .. } => Some(name.clone()),
+                _ => None,
+            })
+            .collect()
+    };
+    let run = phases(&read(&["run", "--vm"]));
+    assert_eq!(run.first().map(String::as_str), Some("parse"), "{run:?}");
+    assert_eq!(run.last().map(String::as_str), Some("lower"), "{run:?}");
+    let serve = read(&["serve", "--workers", "2", "--requests", "4"]);
+    assert_eq!(phases(&serve), run);
+    let (front, rest) = serve.split_at(run.len());
+    assert!(
+        front.iter().all(|e| e.t_us == 0 && e.worker.is_none()),
+        "{front:?}"
+    );
+    assert!(
+        matches!(
+            rest.first().map(|e| &e.event),
+            Some(TraceEvent::RequestStart { .. })
+        ),
+        "{rest:?}"
+    );
+    assert!(rest.iter().all(|e| e.worker.is_some()), "{rest:?}");
     std::fs::remove_dir_all(&dir).ok();
 }

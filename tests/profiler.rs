@@ -185,27 +185,15 @@ fn profile_document_carries_samples_only_when_armed() {
             },
         )
         .expect("runs");
-    let samples = on.samples.clone().expect("samples");
-    let profile = jns_obs::RunProfile {
-        backend: "vm".into(),
-        program: "corpus".into(),
-        counters: vec![("steps", on.stats.steps)],
-        chunks: on.chunk_profile.clone(),
-        ic_sites: on.ic_profile.clone(),
-        histograms: Vec::new(),
-        samples: Some(samples),
-    };
-    let doc = jns_obs::json::parse(&profile.to_json()).expect("parses");
+    assert!(on.samples.is_some(), "sampler armed");
+    let doc = jns_obs::json::parse(&on.profile("corpus").to_json()).expect("parses");
     jns_obs::validate_profile(&doc).expect("validates with samples section");
     assert!(doc.get("samples").is_some());
 
     // With the sampler off the document must not even carry the key —
     // profiler-off artifacts stay byte-identical to pre-sampler ones.
-    let plain = jns_obs::RunProfile {
-        samples: None,
-        ..profile
-    };
-    let doc = jns_obs::json::parse(&plain.to_json()).expect("parses");
+    let doc = jns_obs::json::parse(&off.profile("corpus").to_json()).expect("parses");
+    jns_obs::validate_profile(&doc).expect("validates without samples section");
     assert!(doc.get("samples").is_none());
 }
 
