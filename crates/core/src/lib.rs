@@ -45,8 +45,10 @@ pub enum Error {
     Parse(ParseError),
     /// One or more type errors.
     Type(Vec<TypeError>),
-    /// A runtime error.
-    Runtime(RtError),
+    /// A runtime error, with what the run produced before it: the printed
+    /// lines, counters, profiles, trace and samples (the final value is
+    /// `Unit`).
+    Runtime(RtError, Box<RunOutput>),
 }
 
 impl fmt::Display for Error {
@@ -62,7 +64,7 @@ impl fmt::Display for Error {
                 }
                 Ok(())
             }
-            Error::Runtime(e) => write!(f, "{e}"),
+            Error::Runtime(e, _) => write!(f, "{e}"),
         }
     }
 }
@@ -78,12 +80,6 @@ impl From<ParseError> for Error {
 impl From<Vec<TypeError>> for Error {
     fn from(e: Vec<TypeError>) -> Self {
         Error::Type(e)
-    }
-}
-
-impl From<RtError> for Error {
-    fn from(e: RtError) -> Self {
-        Error::Runtime(e)
     }
 }
 
@@ -302,7 +298,7 @@ impl Compiled {
     ///
     /// Returns [`Error::Runtime`] on runtime failure (benign ones only for
     /// well-typed programs: cast failure, fuel or depth exhaustion,
-    /// division by zero).
+    /// division by zero), carrying the failed run's [`RunOutput`].
     pub fn run(&self) -> Result<RunOutput, Error> {
         self.run_on(self.backend)
     }
@@ -328,20 +324,22 @@ impl Compiled {
     /// # Errors
     ///
     /// Same contract as [`Compiled::run`]. On error the trace buffer and
-    /// samples are dropped with the failed machine.
+    /// samples come back, with the rest of the run's output, inside
+    /// [`Error::Runtime`].
     pub fn run_with(&self, backend: Backend, opts: RunOptions) -> Result<RunOutput, Error> {
         let RunOptions {
             trace,
             sample_stride,
         } = opts;
-        match backend {
+        let (result, out) = match backend {
             Backend::TreeWalk => {
                 let mut m = Machine::new(&self.program).with_config(self.run);
                 if let Some(t) = trace {
                     m.set_trace(t);
                 }
-                let value = m.run()?;
-                Ok(RunOutput {
+                let result = m.run();
+                let value = result.as_ref().cloned().unwrap_or(Value::Unit);
+                let out = RunOutput {
                     backend,
                     output: std::mem::take(&mut m.output),
                     value_masks: resolved_masks(&value, m.mask_table()),
@@ -351,7 +349,8 @@ impl Compiled {
                     ic_profile: Vec::new(),
                     trace: m.take_trace(),
                     samples: None,
-                })
+                };
+                (result, out)
             }
             Backend::Vm => {
                 let mut vm = self.spawn_vm().with_config(self.run);
@@ -361,13 +360,14 @@ impl Compiled {
                 if let Some(s) = sample_stride {
                     vm.set_sample_stride(s);
                 }
-                let value = vm.run()?;
+                let result = vm.run();
+                let value = result.as_ref().cloned().unwrap_or(Value::Unit);
                 let samples = vm.sample_stride().map(|stride| jns_obs::ProfileSamples {
                     stride,
                     taken: vm.samples_taken(),
                     stacks: vm.folded_samples(),
                 });
-                Ok(RunOutput {
+                let out = RunOutput {
                     backend,
                     output: std::mem::take(&mut vm.output),
                     value_masks: resolved_masks(&value, vm.mask_table()),
@@ -377,8 +377,13 @@ impl Compiled {
                     ic_profile: vm.ic_profile(),
                     trace: vm.take_trace(),
                     samples,
-                })
+                };
+                (result, out)
             }
+        };
+        match result {
+            Ok(_) => Ok(out),
+            Err(e) => Err(Error::Runtime(e, Box::new(out))),
         }
     }
 

@@ -52,6 +52,6 @@ pub use profile::{
 };
 pub use stats::{mad, median, sample_us, SampleConfig, Summary};
 pub use trace::{
-    jsonl, merge_events, parse_jsonl, IcKind, TimedEvent, TraceBuffer, TraceEvent,
+    dropped_warning, jsonl, merge_events, parse_jsonl, IcKind, TimedEvent, TraceBuffer, TraceEvent,
     DEFAULT_TRACE_CAP, GC_KINDS, TRACE_SCHEMA,
 };

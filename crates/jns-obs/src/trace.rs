@@ -271,6 +271,18 @@ impl TraceBuffer {
     }
 }
 
+/// The one warning for a trace that lost events, printed by `jns run
+/// --trace`, `jns serve --stats` and `jns trace-report`: a
+/// [`TraceBuffer`] keeps its first [`DEFAULT_TRACE_CAP`] events and only
+/// counts the rest.
+pub fn dropped_warning(dropped: u64) -> String {
+    format!(
+        "warning: {dropped} trace events dropped: a trace buffer keeps its first \
+         {DEFAULT_TRACE_CAP} events, so the trace covers only the start of the run \
+         (a shorter run traces completely)"
+    )
+}
+
 /// Renders events as JSON Lines: a header object
 /// (`{"ev":"trace_start","schema":…,"events":…,"dropped":…}`) followed by
 /// one line per event. `dropped` is the caller-accumulated drop count

@@ -91,9 +91,10 @@ pub enum Instr {
         /// Type-table entry for `T`.
         ty: u32,
     },
-    /// Second half of `new`: pops one value per field name (pushed in
-    /// declaration order), pops the resolved class, runs declared field
-    /// initialisers, then stores the provided values.
+    /// Second half of `new`: pops the resolved class, runs declared field
+    /// initialisers while the provided values (one per field name, pushed
+    /// in source order) wait on the operand stack, then stores them and
+    /// replaces them with the new reference.
     NewAlloc {
         /// Provided field names, in source order.
         fields: Arc<[Name]>,

@@ -3,12 +3,17 @@
 //!
 //! Three mechanisms replace the tree-walker's per-step resolution:
 //!
-//! 1. **Union field layouts** (§6.2 "representative instance classes").
-//!    Objects are slot vectors, not `⟨ℓ, fclass(view,f), f⟩` map entries.
-//!    The layout of an object is the union of the field copies of its
-//!    whole *sharing group*, so every partner view reads and writes fixed
-//!    slot indices; `fclass` is folded into the slot resolution, done once
-//!    per (view, field) instead of once per access.
+//! 1. **Union field layouts and allocation plans, built once per class**
+//!    (§6.2 "representative instance classes"). Objects are slot
+//!    vectors, not `⟨ℓ, fclass(view,f), f⟩` map entries. The layout of an
+//!    object is the union of the field copies of its whole *sharing
+//!    group*, so every partner view reads and writes fixed slot indices;
+//!    `fclass` is folded into the slot resolution, done once per (view,
+//!    field) instead of once per access. Likewise R-ALLOC's shape — the
+//!    slot count, the `this` mask set, each declared initialiser with its
+//!    resolved cell, each field's write path — is resolved on a class's
+//!    first allocation into an `AllocPlan`, so a `new` hashes no field
+//!    set and looks up no field.
 //! 2. **View-keyed inline caches** (§6.1 "lazily synthesised vtables").
 //!    Every field-read, field-write, and call site carries a small cache
 //!    keyed by the receiver's view. A hit costs a linear scan of one or
@@ -191,15 +196,45 @@ struct Sampler {
 
 /// An allocation in flight: R-ALLOC suspended while its field-initialiser
 /// chunks run. Kept on the VM (not the host stack) so the collector can
-/// enumerate — and forward — the nascent object's `this` and the record
-/// values awaiting storage.
+/// enumerate — and forward — the nascent object's `this`. The record
+/// values awaiting storage stay on the operand stack of the frame parked
+/// during the allocation, a root like every other operand.
 #[derive(Debug)]
 struct AllocScope {
     /// `this` during initialisation (`None` until the object is carved
     /// out — the pre-allocation GC must not see a dangling ℓ).
     this_ref: Option<RefVal>,
-    /// Provided record values, written after the declared initialisers.
-    provided: Vec<(Name, Value)>,
+}
+
+/// The chunk id of the frame [`Vm::alloc`] parks to hold its record
+/// values: it runs no code and is left out of sampled stacks.
+const HOST_FRAME: usize = usize::MAX;
+
+/// A declared field initialiser of an allocated class: the chunk that
+/// computes the value and the cell it is stored in.
+#[derive(Debug, Clone, Copy)]
+struct InitStep {
+    chunk: usize,
+    f: Name,
+    at: SetRes,
+}
+
+/// R-ALLOC (Fig. 17) for one class, resolved on the class's first
+/// allocation and kept for the VM's lifetime (like the layouts, a plan
+/// depends only on the checked program).
+#[derive(Debug)]
+struct AllocPlan {
+    /// Slots of the group layout.
+    n_slots: u32,
+    /// `this` during initialisation: every field masked (F-OK).
+    this_masks: MaskId,
+    /// Declared initialisers, base-most class first.
+    inits: Box<[InitStep]>,
+    /// The write path of every field of the class, for record values.
+    writes: Box<[(Name, SetRes)]>,
+    /// Fields no initialiser covers: still masked on the fresh reference
+    /// unless the record provides them.
+    uncovered: Box<[Name]>,
 }
 
 /// The executing machine. Mirrors [`jns_eval::Machine`]'s public surface
@@ -249,6 +284,9 @@ pub struct Vm<'p> {
     dispatch: HashMap<(ClassId, Name), Option<usize>>,
     /// Union layouts per class (shared per sharing group).
     layouts: HashMap<ClassId, Arc<Layout>>,
+    /// Allocation plans, indexed by class id (`None` until the class's
+    /// first allocation).
+    plans: Vec<Option<AllocPlan>>,
     /// Interned runtime types (targets of views/casts/implicit re-views).
     ty_pool: Vec<Ty>,
     ty_ids: HashMap<Ty, u32>,
@@ -299,6 +337,7 @@ impl<'p> Vm<'p> {
             field_res: HashMap::new(),
             dispatch: HashMap::new(),
             layouts: HashMap::new(),
+            plans: Vec::new(),
             ty_pool: Vec::new(),
             ty_ids: HashMap::new(),
             sub_memo: HashMap::new(),
@@ -395,7 +434,7 @@ impl<'p> Vm<'p> {
 
     /// Applies the run limits in `cfg` (fuel counts VM instructions). The
     /// collector's roots are the VM's frame stack (locals and operands)
-    /// and in-flight allocations. Every limit survives
+    /// and the `this` of each allocation in flight. Every limit survives
     /// [`Vm::reset_for_request`], and the fuel and depth counters reset
     /// with the per-request statistics, so a config applied at worker
     /// spawn time holds for every request.
@@ -424,8 +463,8 @@ impl<'p> Vm<'p> {
     /// collection on the shared [`Heap`]) and clears per-request state —
     /// output, statistics, the allocation stack, and call depth — while
     /// keeping all monotone program-level caches warm (inline caches,
-    /// layouts, memoised view changes, interned types and mask sets, the
-    /// per-chunk profile).
+    /// layouts, allocation plans, memoised view changes, interned types
+    /// and mask sets, the per-chunk profile).
     ///
     /// Returns the number of heap objects reclaimed. This is what keeps a
     /// long-running worker VM's memory flat across requests instead of
@@ -453,8 +492,9 @@ impl<'p> Vm<'p> {
 
     /// The GC point ([`Heap::collect_if_due`]) with the VM's roots: every
     /// saved frame's locals and operand stack (the executing frame is
-    /// parked on [`Vm::frames`] around allocations) plus the `this`
-    /// references and pending record values of allocations in flight.
+    /// parked on [`Vm::frames`] around allocations, with a `new`'s record
+    /// values still on its operand stack) plus the `this` references of
+    /// allocations in flight.
     fn maybe_gc(&mut self) {
         let Vm {
             heap,
@@ -474,11 +514,6 @@ impl<'p> Vm<'p> {
             for sc in alloc_stack.iter_mut() {
                 if let Some(r) = sc.this_ref.as_mut() {
                     visit(r);
-                }
-                for (_, v) in sc.provided.iter_mut() {
-                    if let Value::Ref(r) = v {
-                        visit(r);
-                    }
                 }
             }
         });
@@ -662,6 +697,7 @@ impl<'p> Vm<'p> {
     /// allocations are on [`Vm::frames`] too, so initialiser-chunk stacks
     /// are complete) plus `chunk`. Then the budget is refilled up to the
     /// next event; it covers this instruction, which is credited later.
+    /// Frames parked by [`Vm::alloc`] run no chunk and are not sampled.
     #[cold]
     #[inline(never)]
     fn refill(&mut self, chunk: usize, b: &mut Budget) -> Result<(), RtError> {
@@ -676,7 +712,12 @@ impl<'p> Vm<'p> {
         } = self;
         if let Some(s) = sampler.as_mut().filter(|s| s.countdown == 1) {
             let mut key: Vec<u32> = Vec::with_capacity(frames.len() + 1);
-            key.extend(frames.iter().map(|f| f.chunk as u32));
+            key.extend(
+                frames
+                    .iter()
+                    .filter(|f| f.chunk != HOST_FRAME)
+                    .map(|f| f.chunk as u32),
+            );
             key.push(chunk as u32);
             *s.stacks.entry(key).or_insert(0) += 1;
             s.taken += 1;
@@ -1010,17 +1051,17 @@ impl<'p> Vm<'p> {
         Flow::Switch
     }
 
-    /// `NewAlloc`: collects the provided record values and runs R-ALLOC
-    /// with the executing frame parked where the collector can see it.
-    fn op_new_alloc(&mut self, st: &mut ExecState, fields: &Arc<[Name]>) -> Result<Flow, RtError> {
-        let vals = st.stack.split_off(st.stack.len() - fields.len());
+    /// `NewAlloc`: runs R-ALLOC with the executing frame parked where the
+    /// collector can see (and forward) its locals and operands, the
+    /// record values on top of them included; the resumed frame then
+    /// drops the values the allocation stored.
+    fn op_new_alloc(&mut self, st: &mut ExecState, fields: &[Name]) -> Result<Flow, RtError> {
         let class = self.new_stack.pop().expect("unbalanced NewAlloc");
-        let provided: Vec<(Name, Value)> = fields.iter().copied().zip(vals).collect();
-        // Park the executing frame where a collection triggered inside
-        // `alloc` can see (and forward) its locals and operands.
+        let below = st.stack.len() - fields.len();
         self.frames.push(std::mem::take(st));
-        let r = self.alloc(class, provided);
+        let r = self.alloc_parked(class, fields);
         *st = self.frames.pop().expect("parked frame");
+        st.stack.truncate(below);
         st.stack.push(r?);
         Ok(Flow::Next)
     }
@@ -1198,39 +1239,70 @@ impl<'p> Vm<'p> {
     /// R-ALLOC: allocates an instance, runs declared field initialisers
     /// (most-base first), then stores the provided record values.
     ///
-    /// The in-flight state (`this`, pending record values) is parked on
-    /// [`Vm::alloc_stack`] so a collection triggered here — or inside a
-    /// nested initialiser's own allocations — sees it as roots and
-    /// forwards the nascent object's ℓ with everything else.
+    /// The record values wait on a frame parked on the VM's frame stack
+    /// for the allocation, like a `new`'s, so a collection triggered
+    /// inside it sees and forwards them.
     pub fn alloc(
         &mut self,
         class: ClassId,
         provided: Vec<(Name, Value)>,
     ) -> Result<Value, RtError> {
-        self.stats.allocs += 1;
-        let layout = self.layout_of(class);
-        self.alloc_stack.push(AllocScope {
-            this_ref: None,
-            provided,
+        let (fields, stack): (Vec<Name>, Vec<Value>) = provided.into_iter().unzip();
+        self.frames.push(ExecState {
+            chunk: HOST_FRAME,
+            stack,
+            ..ExecState::default()
         });
-        let guts = self.alloc_init(class, &layout);
-        let scope = self.alloc_stack.pop().expect("alloc scope");
-        let mut masks = match guts {
-            Ok(m) => m,
-            Err(e) => {
-                self.stats.sync_gc(&self.heap.gc_stats());
-                return Err(e);
-            }
-        };
-        let this = scope.this_ref.expect("this_ref set on success");
-        let loc = this.loc;
-        for (fname, v) in scope.provided {
-            let copy = self.prog.sharing.fclass(class, fname);
-            let slot = layout.slots.get(&(copy, fname)).copied();
-            self.write_cell(loc, copy, slot, fname, v);
-            masks.remove(&fname);
+        let r = self.alloc_parked(class, &fields);
+        self.frames.pop();
+        r
+    }
+
+    /// R-ALLOC with the record values for `fields` on top of the operand
+    /// stack of the last parked frame; they are stored from there, after
+    /// the declared initialisers, and left as `Unit`.
+    ///
+    /// The nascent object's `this` is parked on [`Vm::alloc_stack`], so a
+    /// collection triggered here — or inside a nested initialiser's own
+    /// allocations — forwards its ℓ with the record values and every
+    /// other root.
+    fn alloc_parked(&mut self, class: ClassId, fields: &[Name]) -> Result<Value, RtError> {
+        self.stats.allocs += 1;
+        if !matches!(self.plans.get(class.0 as usize), Some(Some(_))) {
+            self.build_plan(class);
         }
-        // Fully initialised objects end with ∅, id 0 in every table.
+        self.alloc_stack.push(AllocScope { this_ref: None });
+        let guts = self.alloc_init(class);
+        let scope = self.alloc_stack.pop().expect("alloc scope");
+        if let Err(e) = guts {
+            self.stats.sync_gc(&self.heap.gc_stats());
+            return Err(e);
+        }
+        let loc = scope.this_ref.expect("this_ref set on success").loc;
+        // The initialisers have returned, so the parked frame is on top.
+        let parked = self.frames.len() - 1;
+        let top = self.frames[parked].stack.len() - fields.len();
+        for (i, &f) in fields.iter().enumerate() {
+            let at = match self.plan(class).writes.iter().find(|(g, _)| *g == f) {
+                Some(&(_, at)) => at,
+                None => self.resolve_set(class, f),
+            };
+            let v = std::mem::replace(&mut self.frames[parked].stack[top + i], Value::Unit);
+            self.write_cell(loc, at.copy, at.slot, f, v);
+        }
+        // The fresh reference keeps the masks of the fields that neither
+        // an initialiser nor the record covered. Fully initialised objects
+        // end with ∅, id 0 in every table and interned without a lookup.
+        let uncovered = &self.plan(class).uncovered;
+        let masks = if uncovered.iter().all(|u| fields.contains(u)) {
+            BTreeSet::new()
+        } else {
+            uncovered
+                .iter()
+                .filter(|u| !fields.contains(u))
+                .copied()
+                .collect()
+        };
         let masks = self.intern_masks(masks);
         self.stats.sync_gc(&self.heap.gc_stats());
         Ok(Value::Ref(RefVal {
@@ -1240,33 +1312,24 @@ impl<'p> Vm<'p> {
         }))
     }
 
-    /// The GC-sensitive half of [`Vm::alloc`]: carves out the object and
-    /// runs its declared field initialisers, reading the object's current
+    /// The GC-sensitive half of R-ALLOC: carves out the object and runs
+    /// `class`'s declared field initialisers, reading the object's current
     /// ℓ back from the alloc scope after every step that may collect.
-    /// Returns the masks still unremoved after the declared initialisers.
-    fn alloc_init(&mut self, class: ClassId, layout: &Layout) -> Result<BTreeSet<Name>, RtError> {
-        // GC point: the only place the VM grows the heap. The scope this
-        // call pushed holds the provided values; the object itself does
-        // not exist yet.
+    fn alloc_init(&mut self, class: ClassId) -> Result<(), RtError> {
+        // GC point: the only place the VM grows the heap. The record
+        // values are on the parked frame; the object does not exist yet.
         self.maybe_gc();
-        let loc = self.heap.alloc(layout.n_slots);
-        let all_fields = self.prog.table.fields_of(class);
-        let mut masks: BTreeSet<Name> = all_fields.iter().map(|(_, fi)| fi.name).collect();
-        // `this` during initialisation: all fields masked (F-OK).
-        let this_masks = self.intern_masks(masks.clone());
+        let plan = self.plan(class);
+        let (n_slots, this_masks, n_inits) = (plan.n_slots, plan.this_masks, plan.inits.len());
+        let loc = self.heap.alloc(n_slots);
         let scope = self.alloc_stack.len() - 1;
         self.alloc_stack[scope].this_ref = Some(RefVal {
             loc,
             view: class,
             masks: this_masks,
         });
-        for (owner, fi) in all_fields.iter().rev() {
-            if !fi.has_init {
-                continue;
-            }
-            let Some(&chunk) = self.code.field_inits.get(&(*owner, fi.name)) else {
-                continue;
-            };
+        for i in 0..n_inits {
+            let InitStep { chunk, f, at } = self.plan(class).inits[i];
             let this_ref = self.alloc_stack[scope].this_ref.expect("in-flight this");
             let mut locals = vec![Value::Unit; self.code.chunks[chunk].n_locals as usize];
             locals[0] = Value::Ref(this_ref);
@@ -1288,12 +1351,64 @@ impl<'p> Vm<'p> {
                 .as_ref()
                 .expect("in-flight this")
                 .loc;
-            let copy = self.prog.sharing.fclass(class, fi.name);
-            let slot = layout.slots.get(&(copy, fi.name)).copied();
-            self.write_cell(loc, copy, slot, fi.name, v);
-            masks.remove(&fi.name);
+            self.write_cell(loc, at.copy, at.slot, f, v);
         }
-        Ok(masks)
+        Ok(())
+    }
+
+    /// `class`'s allocation plan (built by its first allocation).
+    fn plan(&self, class: ClassId) -> &AllocPlan {
+        self.plans[class.0 as usize]
+            .as_ref()
+            .expect("plan built on first allocation")
+    }
+
+    /// Resolves `class`'s [`AllocPlan`]: the one place the VM reads a
+    /// class's field declarations. Interns the `this` mask set, which a
+    /// `new` then only copies.
+    fn build_plan(&mut self, class: ClassId) {
+        let layout = self.layout_of(class);
+        let (prog, code) = (self.prog, self.code);
+        let at = |f: Name| {
+            let copy = prog.sharing.fclass(class, f);
+            SetRes {
+                copy,
+                slot: layout.slots.get(&(copy, f)).copied(),
+            }
+        };
+        let fields = prog.table.fields_of(class);
+        let inits: Box<[InitStep]> = fields
+            .iter()
+            .rev()
+            .filter(|(_, fi)| fi.has_init)
+            .filter_map(|(owner, fi)| {
+                let &chunk = code.field_inits.get(&(*owner, fi.name))?;
+                Some(InitStep {
+                    chunk,
+                    f: fi.name,
+                    at: at(fi.name),
+                })
+            })
+            .collect();
+        let names: BTreeSet<Name> = fields.iter().map(|(_, fi)| fi.name).collect();
+        let writes = names.iter().map(|&f| (f, at(f))).collect();
+        let uncovered = names
+            .iter()
+            .copied()
+            .filter(|&f| inits.iter().all(|i| i.f != f))
+            .collect();
+        let plan = AllocPlan {
+            n_slots: layout.n_slots,
+            this_masks: self.intern_masks(names),
+            inits,
+            writes,
+            uncovered,
+        };
+        let i = class.0 as usize;
+        if self.plans.len() <= i {
+            self.plans.resize_with(i + 1, || None);
+        }
+        self.plans[i] = Some(plan);
     }
 
     // -------------------------------------------------------------- calls

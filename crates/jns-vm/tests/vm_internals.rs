@@ -89,6 +89,52 @@ fn direct_api_alloc_view_call() {
     assert_eq!(m.stats.calls, vm.stats.calls);
 }
 
+/// `Vm::alloc` holds its record values on a parked frame that runs no
+/// chunk: a collection inside the initialisers forwards them like any
+/// operand, and a sampler on every instruction sees only the
+/// initialiser chunks.
+#[test]
+fn direct_alloc_parks_record_values_outside_sampled_stacks() {
+    let p = checked(
+        "class A {
+           class D { int tag = 1; }
+           class C { D g = new D(); D h; }
+         }
+         main { print 0; }",
+    );
+    let code = compile(&p);
+    let mut vm = Vm::new(&p, &code).with_config(RunConfig {
+        heap_limit: Some(1),
+        ..RunConfig::default()
+    });
+    vm.set_sample_stride(1);
+    let class = |name: &str| {
+        p.table
+            .lookup_path(&[p.table.intern("A"), p.table.intern(name)])
+            .unwrap()
+    };
+    let [tag, h] = ["tag", "h"].map(|f| p.table.intern(f));
+    let d = vm.alloc(class("D"), vec![(tag, Value::Int(7))]).unwrap();
+    // `d` is held only by the record while `g`'s initialiser collects.
+    let c = vm.alloc(class("C"), vec![(h, d)]).unwrap();
+    assert!(vm.stats.gc_runs > 0, "the collector never ran");
+    let c = *c.as_ref_val().unwrap();
+    assert!(c.masks.is_empty(), "{:?}", c.masks);
+    let held = vm.get_field(&c, h).unwrap();
+    assert_eq!(
+        vm.get_field(held.as_ref_val().unwrap(), tag).unwrap(),
+        Value::Int(7)
+    );
+    let stacks = vm.folded_samples();
+    assert!(!stacks.is_empty());
+    assert!(
+        stacks
+            .iter()
+            .all(|(s, _)| s.starts_with("A.C.g=") || s.starts_with("A.D.tag=")),
+        "{stacks:?}"
+    );
+}
+
 /// A polymorphic call site (two views flowing through one `GetField` +
 /// `Call` site) stays correct once both cache entries are installed.
 #[test]

@@ -33,7 +33,9 @@
 //!       counts, and per-site inline-cache hit/miss attribution;
 //!       `--profile-folded` (VM only) writes the sampling profiler's
 //!       collapsed stacks, one sample every `--sample-stride`
-//!       instructions (default 101))
+//!       instructions (default 101). A run that ends in a runtime error
+//!       still prints the program's lines, then the error, `--stats`
+//!       and every artifact, and exits 1)
 //!   jns check [--stats] <file.jns>
 //!       type-check only; `--stats` prints the parse and check times,
 //!       the check split into resolve, sharing, bodies and constraints
@@ -381,32 +383,41 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
         trace: trace_buf,
         sample_stride: flags.sampler(),
     };
-    match compiled.run_with(backend, opts) {
-        Ok(out) => {
-            for line in &out.output {
-                println!("{line}");
-            }
-            if flags.stats {
-                print_front_end(&compiled);
-                let total_chunks = match backend {
-                    Backend::Vm => compiled.bytecode().chunks.len(),
-                    Backend::TreeWalk => 0,
-                };
-                print_stats(&out, total_chunks);
-            }
-            let (events, dropped) = out
-                .trace
-                .as_ref()
-                .map_or((&[][..], 0), |b| (b.events(), b.dropped()));
-            match write_artifacts(&flags, events, dropped, out.profile(&path), "the program") {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(code) => code,
-            }
-        }
+    // A failed run reports like a finished one: its printed lines, then
+    // the error, its counters and its artifacts — and exits 1.
+    let (out, failed) = match compiled.run_with(backend, opts) {
+        Ok(out) => (out, None),
+        Err(jns_core::Error::Runtime(e, out)) => (*out, Some(e)),
         Err(e) => {
             eprintln!("runtime error: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    for line in &out.output {
+        println!("{line}");
+    }
+    if let Some(e) = &failed {
+        eprintln!("runtime error: {e}");
+    }
+    if flags.stats {
+        print_front_end(&compiled);
+        let total_chunks = match backend {
+            Backend::Vm => compiled.bytecode().chunks.len(),
+            Backend::TreeWalk => 0,
+        };
+        print_stats(&out, total_chunks);
+    }
+    let (events, dropped) = out
+        .trace
+        .as_ref()
+        .map_or((&[][..], 0), |b| (b.events(), b.dropped()));
+    if dropped > 0 {
+        eprintln!("{}", jns_obs::dropped_warning(dropped));
+    }
+    match write_artifacts(&flags, events, dropped, out.profile(&path), "the program") {
+        Ok(()) if failed.is_none() => ExitCode::SUCCESS,
+        Ok(()) => ExitCode::FAILURE,
+        Err(code) => code,
     }
 }
 
@@ -456,11 +467,7 @@ fn report_serve(report: &jns_serve::ServeReport, show_stats: bool) {
         let per_worker: Vec<String> = t.worker_requests.iter().map(u64::to_string).collect();
         eprintln!("per-worker requests: [{}]", per_worker.join(", "));
         if t.trace_dropped > 0 {
-            eprintln!(
-                "warning: {} trace events dropped (per-worker ring buffers filled; \
-                 raise the trace capacity or shorten the run)",
-                t.trace_dropped
-            );
+            eprintln!("{}", jns_obs::dropped_warning(t.trace_dropped));
         }
     }
 }
@@ -746,10 +753,7 @@ fn cmd_trace_report(args: Vec<String>) -> ExitCode {
         }
     }
     if dropped > 0 {
-        println!(
-            "warning: {dropped} events were dropped at capture time — the \
-             figures above undercount (raise the trace capacity)"
-        );
+        println!("{}", jns_obs::dropped_warning(dropped));
     }
     ExitCode::SUCCESS
 }

@@ -37,7 +37,7 @@ pub fn run_cfg(src: &str, backend: Backend, cfg: RunConfig) -> (Outcome, Stats) 
             },
             out.stats,
         ),
-        Err(Error::Runtime(e)) => (Outcome::Runtime(e), Stats::default()),
+        Err(Error::Runtime(e, _)) => (Outcome::Runtime(e), Stats::default()),
         Err(e) => panic!("non-runtime failure: {e}"),
     }
 }

@@ -63,7 +63,7 @@ fn rec_program(n: u64) -> String {
 fn outputs(compiled: &jns_core::Compiled, backend: Backend) -> Result<Vec<String>, RtError> {
     match compiled.run_on(backend) {
         Ok(out) => Ok(out.output),
-        Err(Error::Runtime(e)) => Err(e),
+        Err(Error::Runtime(e, _)) => Err(e),
         Err(e) => panic!("non-runtime failure: {e}"),
     }
 }

@@ -51,7 +51,7 @@ fn run_vm(src: &str, fuse: bool, heap_limit: Option<usize>) -> Outcome {
             views_explicit: out.stats.views_explicit,
             views_implicit: out.stats.views_implicit,
         },
-        Err(Error::Runtime(e)) => Outcome::Runtime(e),
+        Err(Error::Runtime(e, _)) => Outcome::Runtime(e),
         Err(e) => panic!("non-runtime failure: {e}"),
     }
 }
@@ -339,7 +339,7 @@ proptest! {
                 prop_assert_eq!(t.stats.views_explicit, v.stats.views_explicit);
                 prop_assert_eq!(t.stats.views_implicit, v.stats.views_implicit);
             }
-            (Err(Error::Runtime(te)), Err(Error::Runtime(ve))) => {
+            (Err(Error::Runtime(te, _)), Err(Error::Runtime(ve, _))) => {
                 prop_assert_eq!(te.to_string(), ve.to_string(), "errors diverge on\n{}", src);
             }
             (t, v) => {

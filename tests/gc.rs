@@ -199,6 +199,41 @@ fn allocation_in_flight_survives_gc_during_initialisers() {
     }
 }
 
+/// A `new` whose record value is the only reference to a fresh object
+/// while the declared initialiser allocates under collection pressure:
+/// the pending record values are GC roots (on the parked frame's operand
+/// stack in the VM, in the allocation's own state in the tree-walker),
+/// so each `Holder` is forwarded, not reclaimed, and stored intact.
+#[test]
+fn record_values_survive_gc_during_initialisers() {
+    let src = r#"class F {
+           class Pad { }
+           class Holder { int tag; }
+           class Parent { Pad pad = new Pad(); Holder h; }
+         }
+         class W { class Cell { int v = 0; int sum = 0; } }
+         main {
+           final W.Cell c = new W.Cell();
+           while (c.v < 100) {
+             final F.Parent p = new F.Parent { h = new F.Holder { tag = c.v } };
+             c.sum = c.sum + p.h.tag;
+             c.v = c.v + 1;
+           }
+           print c.sum;
+         }"#;
+    for backend in [Backend::TreeWalk, Backend::Vm] {
+        for nursery in NURSERIES {
+            let arm = format!("{backend:?} nursery {nursery:?}");
+            let (out, stats) = run_cfg(src, backend, gc(Some(3), nursery));
+            match out {
+                Outcome::Ok { output, .. } => assert_eq!(output, vec!["4950"], "{arm}"),
+                other => panic!("{arm}: expected success, got {other:?}"),
+            }
+            assert!(stats.gc_runs > 0, "{arm}: collector never ran");
+        }
+    }
+}
+
 /// Guarantee 3 across the whole paper corpus and both case studies: a
 /// tight limit (collections fire even in small programs) changes neither
 /// output nor semantic statistics on either backend.

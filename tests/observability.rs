@@ -674,3 +674,102 @@ fn serve_traces_start_with_the_run_phases() {
     assert!(rest.iter().all(|e| e.worker.is_some()), "{rest:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A run that fails reports like one that finishes: `jns run` prints the
+/// lines the program printed before the error, then the error, the
+/// `--stats` counters, and writes every artifact — and exits 1. On both
+/// backends (the profile on `--vm` only).
+#[test]
+fn failed_run_keeps_its_output_and_artifacts() {
+    let dir = std::env::temp_dir().join(format!("jns-failed-run-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("loop.jns");
+    std::fs::write(
+        &path,
+        "class A { class C { int n = 0; } }
+         main { final A!.C c = new A.C(); print 7; while (0 < 1) { c.n = c.n + 1; } }",
+    )
+    .expect("write program");
+    let trace = dir.join("t.jsonl");
+    let profile = dir.join("p.json");
+    let trace_arg = trace.to_str().expect("utf-8 temp path");
+    let profile_arg = profile.to_str().expect("utf-8 temp path");
+    let limits = ["--fuel", "1000", "--stats", "--trace", trace_arg];
+    for backend in [
+        &["run"][..],
+        &["run", "--vm", "--profile-json", profile_arg],
+    ] {
+        std::fs::remove_file(&trace).ok();
+        std::fs::remove_file(&profile).ok();
+        let args = [backend, &limits].concat();
+        let out = jns(&args, &path);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "7\n", "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("runtime error: out of fuel"),
+            "{args:?}: {err}"
+        );
+        assert!(err.contains("\nallocs          1\n"), "{args:?}: {err}");
+        let text = std::fs::read_to_string(&trace).expect("trace written");
+        jns_obs::parse_jsonl(&text).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+        if args.contains(&"--vm") {
+            let text = std::fs::read_to_string(&profile).expect("profile written");
+            let doc = jns_obs::json::parse(text.trim()).expect("profile parses");
+            jns_obs::validate_profile(&doc).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A trace that outgrew its buffer gets one warning, with the header's
+/// drop count, from `run --trace`, `serve --stats` and `trace-report`
+/// alike (`jns_obs::dropped_warning`).
+#[test]
+fn dropped_trace_events_get_one_warning_everywhere() {
+    let dir = std::env::temp_dir().join(format!("jns-dropped-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("churn.jns");
+    // 150,000 allocations under a heap limit of 2: one `gc` event per two
+    // allocations overflows the 65,536-event buffer.
+    std::fs::write(
+        &path,
+        "class W { class Cell { int v = 0; } class Junk { } }
+         main {
+           final W.Cell c = new W.Cell();
+           while (c.v < 150000) { final W.Junk j = new W.Junk(); c.v = c.v + 1; }
+           print c.v;
+         }",
+    )
+    .expect("write program");
+    let trace = dir.join("t.jsonl");
+    let trace_arg = trace.to_str().expect("utf-8 temp path");
+    let dropped = || {
+        let text = std::fs::read_to_string(&trace).expect("trace written");
+        let (_, dropped) = jns_obs::parse_jsonl(&text).expect("valid trace");
+        assert!(dropped > 0, "nothing dropped");
+        jns_obs::dropped_warning(dropped)
+    };
+    let limit = ["--heap-limit", "2", "--trace", trace_arg];
+    let run = jns(&[&["run", "--vm"][..], &limit].concat(), &path);
+    assert!(run.status.success(), "{run:?}");
+    let warning = dropped();
+    assert!(
+        String::from_utf8_lossy(&run.stderr).contains(&warning),
+        "{run:?}"
+    );
+    let report = jns(&["trace-report"], &trace);
+    assert!(report.status.success(), "{report:?}");
+    assert!(
+        String::from_utf8_lossy(&report.stdout).contains(&warning),
+        "{report:?}"
+    );
+    let serve_cmd = ["serve", "--workers", "1", "--requests", "1", "--stats"];
+    let serve = jns(&[&serve_cmd[..], &limit].concat(), &path);
+    assert!(serve.status.success(), "{serve:?}");
+    assert!(
+        String::from_utf8_lossy(&serve.stderr).contains(&dropped()),
+        "{serve:?}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -41,7 +41,7 @@ fn run_on(compiled: &jns_core::Compiled, backend: Backend) -> Outcome {
             views_explicit: out.stats.views_explicit,
             views_implicit: out.stats.views_implicit,
         },
-        Err(Error::Runtime(e)) => Outcome::Runtime(e),
+        Err(Error::Runtime(e, _)) => Outcome::Runtime(e),
         Err(e) => panic!("non-runtime failure: {e}"),
     }
 }
@@ -245,4 +245,123 @@ fn final_references_compare_by_resolved_mask_sets() {
     assert_eq!(tree.value_masks, [x].into());
     assert_eq!(corpus::value_shape(tree), corpus::value_shape(vm));
     assert_equivalent("final_masked_reference", src, None);
+}
+
+/// A program, its printed lines, its final value's masks and each
+/// engine's `mask_allocs` (tree-walker, VM).
+type AllocCase = (
+    &'static str,
+    String,
+    &'static [&'static str],
+    &'static [&'static str],
+    [u64; 2],
+);
+
+/// R-ALLOC (Fig. 17) on both engines: inherited initialisers run
+/// base-most class first; a record value overrides a declared
+/// initialiser of the same field (which still runs); two sites of one
+/// class that provide different fields leave different masks on their
+/// fresh references; and a record writes the copy of a field its class
+/// owns in a sharing group where the partners hold separate copies
+/// (`fclass`), read back through both partner views (A2's by §3.3
+/// forwarding to A1's copy). Each case checks the printed lines and the
+/// final value's resolved mask set, compares the engines with
+/// `assert_equivalent`, and pins each engine's `mask_allocs`: the counts
+/// are per engine table and differ on `two_sites_*`, where the VM also
+/// interns the ∅ of an `int` field's read type.
+#[test]
+fn allocation_order_and_record_semantics_are_equivalent() {
+    let two_sites = |last: &str| {
+        format!(
+            "class A {{ class C {{ int x; int y = 2; int z; }} }}
+             main {{
+               final A.C\\z a = new A.C {{ x = 1 }};
+               final A.C\\x b = new A.C {{ z = 3 }};
+               print a.x + a.y;
+               print b.z;
+               {last};
+             }}"
+        )
+    };
+    let cases: [AllocCase; 5] = [
+        (
+            "initialisers_base_most_first",
+            r#"class A {
+                 class Log { int say(str s) { print s; return 0; } }
+                 class B { int b = new Log().say("B"); }
+                 class D extends B { int d = new Log().say("D"); }
+                 class E extends D { int e = new Log().say("E"); }
+               }
+               main { final A.E x = new A.E(); print "done"; x; }"#
+                .into(),
+            &["B", "D", "E", "done"],
+            &[],
+            [2, 2],
+        ),
+        (
+            "record_overrides_initialiser",
+            r#"class A {
+                 class Log { int say(str s, int v) { print s; return v; } }
+                 class C { int x = new Log().say("init x", 1); int y = 2; }
+               }
+               main { final A.C c = new A.C { x = 10 }; print c.x; print c.y; c; }"#
+                .into(),
+            &["init x", "10", "2"],
+            &[],
+            [2, 2],
+        ),
+        (
+            "two_sites_first",
+            two_sites("a"),
+            &["3", "3"],
+            &["z"],
+            [3, 4],
+        ),
+        (
+            "two_sites_second",
+            two_sites("b"),
+            &["3", "3"],
+            &["x"],
+            [3, 4],
+        ),
+        (
+            "record_writes_its_partner_copy",
+            r#"class A1 {
+                 class D { int tag = 1; }
+                 class C { D g = new D(); int probe() { return this.g.tag; } }
+               }
+               class A2 extends A1 {
+                 class D shares A1.D { }
+                 class C shares A1.C\g { int probe() { return 100 + this.g.tag; } }
+               }
+               main {
+                 final A1!.C c = new A1.C { g = new A1.D { tag = 5 } };
+                 print c.probe();
+                 final A2!.C\g v = (view A2!.C\g)c;
+                 print v.probe();
+                 final A2!.C w = new A2.C { g = new A2.D { tag = 7 } };
+                 print w.probe();
+                 v;
+               }"#
+            .into(),
+            &["5", "105", "107"],
+            &["g"],
+            [3, 3],
+        ),
+    ];
+    for (name, src, output, masks, mask_allocs) in cases {
+        assert_equivalent(name, &src, None);
+        let compiled = Compiler::new().compile(&src).unwrap();
+        let masks = masks.iter().map(|m| compiled.program.table.intern(m));
+        let masks: std::collections::BTreeSet<_> = masks.collect();
+        for (backend, want) in [Backend::TreeWalk, Backend::Vm]
+            .into_iter()
+            .zip(mask_allocs)
+        {
+            let out = compiled.run_on(backend).unwrap();
+            assert_eq!(out.output, output, "[{name}] {backend:?}");
+            assert_eq!(out.value_masks, masks, "[{name}] {backend:?}");
+            assert_eq!(out.stats.mask_allocs, want, "[{name}] {backend:?}");
+        }
+    }
 }
