@@ -32,9 +32,11 @@
 //! heap memory and by one uniformly enforced, configurable limit
 //! ([`RunConfig::max_depth`], default [`DEFAULT_MAX_DEPTH`]) that
 //! returns [`RtError::DepthExceeded`] instead of aborting the process.
-//! The limit counts *recursion units*: method activations and nested
-//! field-initialiser evaluations — the same units the bytecode VM counts,
-//! so both backends report the identical error at the identical depth.
+//! The limit counts *recursion units*: method activations and
+//! allocations running their field initialisers (one unit for a whole
+//! initialiser sequence), entered through [`rules::enter`] — the same
+//! units the bytecode VM counts, so both backends report the identical
+//! error at the identical depth.
 //!
 //! A failed evaluation cannot poison the machine: all control state lives
 //! in locals of the evaluation loop, and the shared depth counter is
@@ -330,8 +332,9 @@ struct AllocState<'a> {
     /// `this` during initialisation: all fields masked (F-OK).
     this_ref: RefVal,
     masks: BTreeSet<Name>,
-    /// Declared initialisers in execution order (base-most first).
-    inits: Vec<(Name, &'a CExpr)>,
+    /// Declared initialisers in execution order
+    /// ([`CheckedProgram::initialisers`]), by field-initialiser key.
+    inits: Vec<((ClassId, Name), &'a CExpr)>,
     idx: usize,
     provided: Vec<(Name, Value)>,
     /// The frame to restore once every initialiser has run.
@@ -720,9 +723,8 @@ impl<'p> Machine<'p> {
                         }
                     }
                     Kont::AllocInit(mut st) => {
-                        self.depth -= 1;
                         let v = vals.pop().expect("field initialiser value");
-                        let fname = st.inits[st.idx].0;
+                        let (_, fname) = st.inits[st.idx].0;
                         let copy = self.prog.sharing.fclass(st.class, fname);
                         // `this_ref.loc` is the object's current ℓ (a GC
                         // during the initialiser may have forwarded it).
@@ -731,10 +733,6 @@ impl<'p> Machine<'p> {
                         st.idx += 1;
                         match st.inits.get(st.idx) {
                             Some(&(_, init)) => {
-                                if self.depth >= self.max_depth {
-                                    return Err(RtError::DepthExceeded(self.max_depth));
-                                }
-                                self.depth += 1;
                                 // Each initialiser runs in its own frame
                                 // holding only `this`.
                                 let mut f = Frame::new();
@@ -744,6 +742,8 @@ impl<'p> Machine<'p> {
                                 ctrl.push(Work::Eval(init));
                             }
                             None => {
+                                // The sequence's depth unit is released.
+                                self.depth -= 1;
                                 *frame = std::mem::take(&mut st.saved);
                                 let st = *st;
                                 let v = self.finalize_alloc(
@@ -918,8 +918,8 @@ impl<'p> Machine<'p> {
     /// Starts R-ALLOC on the explicit stack: claims a location, then
     /// either finishes immediately (no declared initialisers) or swaps in
     /// the first initialiser's frame and suspends into `Kont::AllocInit`.
-    /// Each nested initialiser evaluation counts one recursion unit
-    /// against the depth limit (mirroring the VM's accounting).
+    /// The initialiser sequence holds one unit of recursion depth from
+    /// the first initialiser to the end of the last, as in the VM.
     fn begin_alloc<'a>(
         &mut self,
         class: ClassId,
@@ -948,27 +948,14 @@ impl<'p> Machine<'p> {
             view: class,
             masks: self.intern(masks.clone()),
         };
-        // Declared initialisers, base-most classes first.
-        let inits: Vec<(Name, &'a CExpr)> = all_fields
-            .iter()
-            .rev()
-            .filter(|(_, fi)| fi.has_init)
-            .filter_map(|(owner, fi)| {
-                prog.field_inits
-                    .get(&(*owner, fi.name))
-                    .map(|e| (fi.name, e))
-            })
-            .collect();
+        let inits = prog.initialisers(&all_fields);
         match inits.first() {
             None => {
                 let v = self.finalize_alloc(class, loc, masks, provided);
                 vals.push(v);
             }
             Some(&(_, first)) => {
-                if self.depth >= self.max_depth {
-                    return Err(RtError::DepthExceeded(self.max_depth));
-                }
-                self.depth += 1;
+                rules::enter(&mut self.depth, self.max_depth)?;
                 let mut st = Box::new(AllocState {
                     class,
                     this_ref,
@@ -1044,22 +1031,17 @@ impl<'p> Machine<'p> {
         'p: 'a,
     {
         self.stats.calls += 1;
-        if self.depth >= self.max_depth {
-            return Err(RtError::DepthExceeded(self.max_depth));
-        }
+        rules::enter(&mut self.depth, self.max_depth)?;
         let prog = self.prog;
         let Some((_owner, method)) = prog.mbody(r.view, m) else {
             return Err(rules::no_method(prog, r.view, m));
         };
-        if method.params.len() != args.len() {
-            return Err(RtError::TypeMismatch("arity".into()));
-        }
+        rules::check_arity(method.params.len(), args.len())?;
         let mut callee = Frame::new();
         callee.insert(prog.table.this_name, Value::Ref(r));
         for (x, v) in method.params.iter().zip(args) {
             callee.insert(*x, v);
         }
-        self.depth += 1;
         ctrl.push(Work::Kont(Kont::Return {
             saved: std::mem::replace(frame, callee),
         }));

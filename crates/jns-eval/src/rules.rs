@@ -1,10 +1,11 @@
 //! The run-time rules both engines apply identically, kept once: the
 //! operators and `==`, the condition checks, how `print` shows a value,
 //! the `view! ≤ target` judgment and the interpreted field type, case 2
-//! of the `view` function (§4.15), and the texts of the run-time errors
-//! the engines raise alike. The tree-walker ([`crate::Machine`]), the
-//! bytecode VM and the VM's constant folder all call these, as both
-//! engines call [`crate::typeeval`] for Fig. 16. What each engine does
+//! of the `view` function (§4.15), the arity and recursion-depth checks,
+//! and the texts of the run-time errors the engines raise alike. The
+//! tree-walker ([`crate::Machine`]), the bytecode VM and the VM's
+//! constant folder all call these, as both engines call
+//! [`crate::typeeval`] for Fig. 16. What each engine does
 //! its own way — evaluation, field storage, caches and memo tables, GC
 //! roots — stays in the engine, where the differential suites compare it.
 
@@ -219,6 +220,29 @@ pub fn no_method(prog: &CheckedProgram, view: ClassId, m: Name) -> RtError {
     ))
 }
 
+/// A call passes exactly as many arguments as the method has parameters.
+pub fn check_arity(params: usize, args: usize) -> Result<(), RtError> {
+    if params == args {
+        Ok(())
+    } else {
+        Err(type_err("arity"))
+    }
+}
+
+/// Enters one unit of recursion depth — a method activation, or an
+/// allocation's whole declared-initialiser sequence — unless `depth`
+/// has reached `max_depth`. The engine releases the unit when the
+/// activation returns or the last initialiser has run, and restores its
+/// entry depth after an error.
+#[inline]
+pub fn enter(depth: &mut u32, max_depth: u32) -> Result<(), RtError> {
+    if *depth >= max_depth {
+        return Err(RtError::DepthExceeded(max_depth));
+    }
+    *depth += 1;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,6 +339,16 @@ mod tests {
             expect_ref(Value::Ref(obj(2, ClassId(1)))),
             Ok(obj(2, ClassId(1)))
         );
+        assert_eq!(check_arity(2, 2), Ok(()));
+        assert_eq!(check_arity(2, 1), mismatch("arity").map(|_| ()));
+        // Depth: each entry takes a unit until the limit, which refuses
+        // the next entry without taking one.
+        let mut depth = 0;
+        assert_eq!(enter(&mut depth, 2), Ok(()));
+        assert_eq!(enter(&mut depth, 2), Ok(()));
+        assert_eq!(enter(&mut depth, 2), Err(RtError::DepthExceeded(2)));
+        assert_eq!(depth, 2);
+        assert_eq!(enter(&mut 0, 0), Err(RtError::DepthExceeded(0)));
     }
 
     #[test]

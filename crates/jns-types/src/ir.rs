@@ -8,7 +8,7 @@
 use crate::check::CheckTimings;
 use crate::names::Name;
 use crate::sharing::SharingTable;
-use crate::table::ClassTable;
+use crate::table::{ClassTable, FieldInfo};
 use crate::ty::{ClassId, Ty, Type};
 use jns_syntax::{BinOp, UnOp};
 use std::collections::HashMap;
@@ -173,5 +173,26 @@ impl CheckedProgram {
             }
         }
         None
+    }
+
+    /// The declared field initialisers R-ALLOC (Fig. 17) runs for a
+    /// class whose fields are `fields` (its [`ClassTable::fields_of`]), in
+    /// the order it runs them: base-most class first and, within a class,
+    /// in declaration order (Java's order). Each comes with its
+    /// [`CheckedProgram::field_inits`] key — the declaring class and the
+    /// field — and its expression.
+    pub fn initialisers(&self, fields: &[(ClassId, FieldInfo)]) -> Vec<((ClassId, Name), &CExpr)> {
+        // `fields_of` lists the classes most derived first, each class's
+        // fields together and in declaration order.
+        fields
+            .chunk_by(|a, b| a.0 == b.0)
+            .rev()
+            .flatten()
+            .filter(|(_, fi)| fi.has_init)
+            .filter_map(|(owner, fi)| {
+                let key = (*owner, fi.name);
+                self.field_inits.get(&key).map(|e| (key, e))
+            })
+            .collect()
     }
 }

@@ -91,10 +91,13 @@ pub enum Instr {
         /// Type-table entry for `T`.
         ty: u32,
     },
-    /// Second half of `new`: pops the resolved class, runs declared field
-    /// initialisers while the provided values (one per field name, pushed
-    /// in source order) wait on the operand stack, then stores them and
-    /// replaces them with the new reference.
+    /// Second half of `new`: pops the resolved class and carves out the
+    /// object while the provided values (one per field name, pushed in
+    /// source order) wait on the operand stack. If the class declares
+    /// initialisers, `this` goes on top of the values and the frame stays
+    /// parked at this instruction while each initialiser chunk runs as an
+    /// ordinary activation; then the values are stored and replaced with
+    /// the new reference.
     NewAlloc {
         /// Provided field names, in source order.
         fields: Arc<[Name]>,

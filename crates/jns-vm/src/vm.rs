@@ -50,11 +50,19 @@
 //! bookkeeping event — the instruction that exhausts the fuel, or the
 //! sampler's next sample point — and credits `steps`, the per-chunk
 //! profile and the sampler in bulk where the running activation changes.
+//!
+//! There is one dispatch loop, entered only by [`Vm::run`] and
+//! [`Vm::call`], and it never re-enters itself: a method call and a
+//! declared field initialiser are both ordinary activations on the
+//! explicit frame stack. An allocation in flight is its frame parked at
+//! `NewAlloc` with `this` on top of its operand stack (R-ALLOC's
+//! continuation, defunctionalised), so no J&s program recurses on the
+//! host stack.
 
 use crate::bytecode::{Instr, TrapKind, VmProgram};
 use jns_eval::rules::{self, ViewMiss};
 use jns_eval::{
-    Heap, Loc, MaskId, MaskTable, RefVal, RtError, RunConfig, Stats, Value, DEFAULT_MAX_DEPTH,
+    Heap, MaskId, MaskTable, RefVal, RtError, RunConfig, Stats, Value, DEFAULT_MAX_DEPTH,
 };
 use jns_obs::IcKind;
 use jns_types::{CheckedProgram, ClassId, Name, Ty};
@@ -132,11 +140,9 @@ impl<T> IcSites<T> {
 /// bookkeeping event — the instruction that exhausts the fuel, or the
 /// sampler's next sample point ([`Vm::refill`]). Instructions are
 /// credited to `steps`, the running chunk's count and the sampler in
-/// bulk ([`Vm::credit`]) where the running activation changes, around
-/// allocations (whose initialiser chunks run a nested loop with a budget
-/// of its own), on loop exit and on every error path. A budget lives only
-/// while its loop runs, so limits and strides set between runs need no
-/// flush.
+/// bulk ([`Vm::credit`]) where the running activation changes, on loop
+/// exit and on every error path. One budget spans a whole run, so limits
+/// and strides set between runs need no flush.
 #[derive(Debug, Clone, Copy)]
 struct Budget {
     /// Instructions that may still start before the next event.
@@ -149,16 +155,39 @@ struct Budget {
 /// The explicit execution state of one activation — the chunk, program
 /// counter, frame slots, and operand stack every opcode handler operates
 /// on. The running activation is a local in [`Vm::run_frames`]; suspended
-/// callers (and frames parked around allocations) live on [`Vm::frames`]
-/// where the collector can enumerate them. Finished activations are
-/// recycled through [`Vm::pool`], so a call in a hot loop reuses the same
-/// two vectors instead of allocating.
+/// callers (and allocating frames parked at their `NewAlloc`) live on
+/// [`Vm::frames`] where the collector can enumerate them. Finished
+/// activations are recycled through [`Vm::pool`], so a call or an
+/// initialiser in a hot loop reuses the same two vectors instead of
+/// allocating.
 #[derive(Debug, Default)]
 struct ExecState {
     chunk: usize,
     pc: usize,
     locals: Vec<Value>,
     stack: Vec<Value>,
+    /// `Some(i)`: this activation computes declared initialiser `i` of
+    /// the allocation whose frame is parked beneath it ([`Vm::init_returned`]).
+    init: Option<u32>,
+}
+
+impl ExecState {
+    /// Starts this (possibly recycled) activation at the top of `chunk`,
+    /// with `this` in slot 0 of its `n_locals` slots, an empty operand
+    /// stack and `init` as its initialiser mark, whatever it held before.
+    /// Forced inline, like [`Vm::recycle`]: every call and initialiser
+    /// passes through it, and an out-of-line copy measurably slowed
+    /// `translate_serve`.
+    #[inline(always)]
+    fn start(&mut self, chunk: usize, n_locals: usize, this: RefVal, init: Option<u32>) {
+        self.chunk = chunk;
+        self.pc = 0;
+        self.init = init;
+        self.locals.clear();
+        self.locals.resize(n_locals, Value::Unit);
+        self.locals[0] = Value::Ref(this);
+        self.stack.clear();
+    }
 }
 
 /// What an opcode handler asks the dispatch loop to do next.
@@ -193,22 +222,6 @@ struct Sampler {
     /// Total samples taken (sum of all stack counts).
     taken: u64,
 }
-
-/// An allocation in flight: R-ALLOC suspended while its field-initialiser
-/// chunks run. Kept on the VM (not the host stack) so the collector can
-/// enumerate — and forward — the nascent object's `this`. The record
-/// values awaiting storage stay on the operand stack of the frame parked
-/// during the allocation, a root like every other operand.
-#[derive(Debug)]
-struct AllocScope {
-    /// `this` during initialisation (`None` until the object is carved
-    /// out — the pre-allocation GC must not see a dangling ℓ).
-    this_ref: Option<RefVal>,
-}
-
-/// The chunk id of the frame [`Vm::alloc`] parks to hold its record
-/// values: it runs no code and is left out of sampled stacks.
-const HOST_FRAME: usize = usize::MAX;
 
 /// A declared field initialiser of an allocated class: the chunk that
 /// computes the value and the cell it is stored in.
@@ -256,12 +269,11 @@ pub struct Vm<'p> {
     /// Classes resolved by `NewResolve`, awaiting their `NewAlloc`
     /// (LIFO; pairs are properly nested in compiled code).
     new_stack: Vec<ClassId>,
-    /// The explicit call stack. Lives on the VM (the executing frame is
-    /// parked here around allocations) so a collection can enumerate and
-    /// forward every local and operand as a root.
+    /// The explicit call stack: every suspended activation, allocating
+    /// frames parked at their `NewAlloc` included. Lives on the VM so a
+    /// collection can enumerate and forward every local and operand as a
+    /// root.
     frames: Vec<ExecState>,
-    /// Allocations in flight (GC roots; see [`AllocScope`]).
-    alloc_stack: Vec<AllocScope>,
     /// Recycled activations (cleared of values, so never GC roots): calls
     /// pop from here instead of allocating fresh local/stack vectors.
     pool: Vec<ExecState>,
@@ -328,7 +340,6 @@ impl<'p> Vm<'p> {
             max_depth: DEFAULT_MAX_DEPTH,
             new_stack: Vec::new(),
             frames: Vec::new(),
-            alloc_stack: Vec::new(),
             pool: Vec::new(),
             field_ics: IcSites::new(IcKind::FieldGet, code.n_field_ics),
             set_ics: IcSites::new(IcKind::FieldSet, code.n_set_ics),
@@ -423,8 +434,9 @@ impl<'p> Vm<'p> {
         merged.into_iter().collect()
     }
 
-    /// Sets the recursion-depth limit (method activations plus nested
-    /// field-initialiser chunks) — the same units, default, and
+    /// Sets the recursion-depth limit (method activations plus
+    /// allocations running their field initialisers, one unit for a whole
+    /// initialiser sequence) — the same units, default, and
     /// [`RtError::DepthExceeded`] error as the tree-walking interpreter,
     /// so both backends fail identically at identical depths.
     pub fn with_max_depth(mut self, max_depth: u32) -> Self {
@@ -433,8 +445,9 @@ impl<'p> Vm<'p> {
     }
 
     /// Applies the run limits in `cfg` (fuel counts VM instructions). The
-    /// collector's roots are the VM's frame stack (locals and operands)
-    /// and the `this` of each allocation in flight. Every limit survives
+    /// collector's roots are the locals and operands of every activation
+    /// (an allocation in flight keeps `this` on its frame's operand
+    /// stack). Every limit survives
     /// [`Vm::reset_for_request`], and the fuel and depth counters reset
     /// with the per-request statistics, so a config applied at worker
     /// spawn time holds for every request.
@@ -476,7 +489,6 @@ impl<'p> Vm<'p> {
         self.depth = 0;
         self.new_stack.clear();
         self.frames.clear();
-        self.alloc_stack.clear();
         reclaimed
     }
 
@@ -490,30 +502,24 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// The GC point ([`Heap::collect_if_due`]) with the VM's roots: every
-    /// saved frame's locals and operand stack (the executing frame is
-    /// parked on [`Vm::frames`] around allocations, with a `new`'s record
-    /// values still on its operand stack) plus the `this` references of
-    /// allocations in flight.
-    fn maybe_gc(&mut self) {
+    /// The GC point ([`Heap::collect_if_due`]) with the VM's roots: the
+    /// locals and operand stack of every suspended frame and of the
+    /// running activation `cur` — a `new`'s record values wait on top of
+    /// its allocating frame's operand stack, and an allocation in flight
+    /// keeps `this` above them.
+    fn maybe_gc(&mut self, cur: &mut ExecState) {
         let Vm {
             heap,
             frames,
-            alloc_stack,
             trace,
             ..
         } = self;
         heap.collect_if_due(trace.as_mut(), |visit| {
-            for fr in frames.iter_mut() {
+            for fr in frames.iter_mut().chain(std::iter::once(&mut *cur)) {
                 for v in fr.locals.iter_mut().chain(fr.stack.iter_mut()) {
                     if let Value::Ref(r) = v {
                         visit(r);
                     }
-                }
-            }
-            for sc in alloc_stack.iter_mut() {
-                if let Some(r) = sc.this_ref.as_mut() {
-                    visit(r);
                 }
             }
         });
@@ -641,9 +647,7 @@ impl<'p> Vm<'p> {
             return Err(RtError::BadType("program has no main".into()));
         };
         let locals = vec![Value::Unit; self.code.chunks[main].n_locals as usize];
-        let r = self.run_chunk(main, locals);
-        self.stats.sync_gc(&self.heap.gc_stats());
-        r
+        self.run_frames(main, locals)
     }
 
     /// Formats a value the way `print` shows it ([`rules::display_value`]).
@@ -693,11 +697,10 @@ impl<'p> Vm<'p> {
     /// an event. If it exhausts the fuel it counts (in `steps` and the
     /// profile) and fails with [`RtError::OutOfFuel`]. If it is a sample
     /// point, the sampler snapshots the frame stack before it runs: every
-    /// suspended frame's chunk (outermost first — frames parked during
-    /// allocations are on [`Vm::frames`] too, so initialiser-chunk stacks
-    /// are complete) plus `chunk`. Then the budget is refilled up to the
-    /// next event; it covers this instruction, which is credited later.
-    /// Frames parked by [`Vm::alloc`] run no chunk and are not sampled.
+    /// suspended frame's chunk (outermost first — allocating frames are
+    /// on [`Vm::frames`] too, so initialiser-chunk stacks are complete)
+    /// plus `chunk`. Then the budget is refilled up to the next event; it
+    /// covers this instruction, which is credited later.
     #[cold]
     #[inline(never)]
     fn refill(&mut self, chunk: usize, b: &mut Budget) -> Result<(), RtError> {
@@ -712,12 +715,7 @@ impl<'p> Vm<'p> {
         } = self;
         if let Some(s) = sampler.as_mut().filter(|s| s.countdown == 1) {
             let mut key: Vec<u32> = Vec::with_capacity(frames.len() + 1);
-            key.extend(
-                frames
-                    .iter()
-                    .filter(|f| f.chunk != HOST_FRAME)
-                    .map(|f| f.chunk as u32),
-            );
+            key.extend(frames.iter().map(|f| f.chunk as u32));
             key.push(chunk as u32);
             *s.stacks.entry(key).or_insert(0) += 1;
             s.taken += 1;
@@ -729,44 +727,35 @@ impl<'p> Vm<'p> {
 
     // ----------------------------------------------------------- execution
 
-    /// Runs one chunk to completion with an explicit frame stack: method
-    /// calls push VM frames instead of recursing natively, so deep J&s
-    /// recursion is bounded by the configurable depth limit, not the Rust
-    /// stack. (Native recursion remains only for field-initialiser chunks
-    /// during allocation, and each nested initialiser run counts one
-    /// recursion unit against the same limit, so it is bounded too.)
-    fn run_chunk(&mut self, chunk: usize, locals: Vec<Value>) -> Result<Value, RtError> {
-        let base_depth = self.depth;
-        let new_mark = self.new_stack.len();
-        let frame_mark = self.frames.len();
-        let alloc_mark = self.alloc_stack.len();
-        let r = self.run_frames(chunk, locals);
-        if r.is_err() {
-            self.depth = base_depth;
-            self.new_stack.truncate(new_mark);
-            self.frames.truncate(frame_mark);
-            self.alloc_stack.truncate(alloc_mark);
-        }
-        r
-    }
-
-    /// Runs one invocation's dispatch loop under a fresh [`Budget`], then
-    /// credits whatever it left uncounted — on return and on every error
-    /// path alike, so the profile sums to [`Stats::steps`] and the sampler
-    /// has taken exactly `⌊executed / stride⌋` samples either way.
+    /// Runs `chunk` with `locals` until its activation returns: the one
+    /// entry to the dispatch loop, for [`Vm::run`] and [`Vm::call`]. Calls
+    /// and field initialisers push VM frames instead of recursing
+    /// natively, so deep J&s recursion is bounded by the configurable
+    /// depth limit, not the Rust stack. One [`Budget`] spans the run;
+    /// whatever it left uncounted is credited on return and on every
+    /// error path alike, so the profile sums to [`Stats::steps`] and the
+    /// sampler has taken exactly `⌊executed / stride⌋` samples either
+    /// way. An error leaves no residue: the frames, pending `new`s and
+    /// depth the run added are dropped.
     fn run_frames(&mut self, chunk: usize, locals: Vec<Value>) -> Result<Value, RtError> {
         // Suspended frames live on `self.frames` (so the collector can
-        // walk them); this invocation owns the stack above `base`.
-        let base = self.frames.len();
+        // walk them); this run owns the stack above `base`.
+        let (base, news, depth) = (self.frames.len(), self.new_stack.len(), self.depth);
         let mut cur = ExecState {
             chunk,
-            pc: 0,
             locals,
             stack: Vec::with_capacity(8),
+            ..ExecState::default()
         };
         let mut budget = self.budget();
         let r = self.dispatch(&mut cur, base, &mut budget);
         self.credit(cur.chunk, &mut budget);
+        if r.is_err() {
+            self.frames.truncate(base);
+            self.new_stack.truncate(news);
+            self.depth = depth;
+        }
+        self.stats.sync_gc(&self.heap.gc_stats());
         r
     }
 
@@ -775,8 +764,7 @@ impl<'p> Vm<'p> {
     /// the explicit [`ExecState`], and each handler's [`Flow`] result
     /// tells the loop how to continue. Each instruction costs one budget
     /// decrement and one zero test; the counters it feeds are credited
-    /// when the activation changes, around allocations and by the caller
-    /// on exit.
+    /// when the activation changes and by the caller on exit.
     #[inline(always)]
     fn dispatch(
         &mut self,
@@ -840,14 +828,7 @@ impl<'p> Vm<'p> {
                         self.new_stack.push(class);
                         Flow::Next
                     }
-                    Instr::NewAlloc { fields } => {
-                        // Initialiser chunks run a nested loop with a
-                        // budget of its own: credit before, refill after.
-                        self.credit(chunk, budget);
-                        let flow = self.op_new_alloc(cur, fields);
-                        *budget = self.budget();
-                        flow?
-                    }
+                    Instr::NewAlloc { fields } => self.op_new_alloc(cur, fields)?,
                     Instr::View { ty } => self.op_view(cur, *ty)?,
                     Instr::Cast { ty } => self.op_cast(cur, *ty)?,
                     Instr::Bin(op) => {
@@ -979,7 +960,7 @@ impl<'p> Vm<'p> {
             r.view,
             |vm| vm.resolve_set(r.view, f),
         );
-        self.write_cell(r.loc, res.copy, res.slot, f, v.clone());
+        self.heap.set(r.loc, res.copy, res.slot, f, v.clone());
         // grant(σ, x.f): the stack binding loses the mask.
         if let Some(Value::Ref(x)) = slot.and_then(|s| st.locals.get_mut(s)) {
             let (masks, fresh) = self.masks.grant(r.masks, f);
@@ -1004,9 +985,7 @@ impl<'p> Vm<'p> {
     ) -> Result<Flow, RtError> {
         let r = rules::expect_ref(recv)?;
         self.stats.calls += 1;
-        if self.depth >= self.max_depth {
-            return Err(RtError::DepthExceeded(self.max_depth));
-        }
+        rules::enter(&mut self.depth, self.max_depth)?;
         let Some(chunk) = self.probe(
             |vm| &mut vm.call_ics,
             ic,
@@ -1015,9 +994,7 @@ impl<'p> Vm<'p> {
         ) else {
             return Err(rules::no_method(self.prog, r.view, m));
         };
-        if self.code.chunks[chunk].n_params as usize != argc {
-            return Err(RtError::TypeMismatch("arity".into()));
-        }
+        rules::check_arity(self.code.chunks[chunk].n_params as usize, argc)?;
         Ok(self.enter_chunk(st, chunk, argc, recv_on_stack, r))
     }
 
@@ -1032,38 +1009,117 @@ impl<'p> Vm<'p> {
         recv_on_stack: bool,
         r: RefVal,
     ) -> Flow {
-        let n_locals = self.code.chunks[chunk].n_locals as usize;
         let mut callee = self.pool.pop().unwrap_or_default();
-        callee.chunk = chunk;
-        callee.pc = 0;
-        callee.locals.clear();
-        callee.locals.resize(n_locals, Value::Unit);
-        callee.locals[0] = Value::Ref(r);
+        callee.start(chunk, self.code.chunks[chunk].n_locals as usize, r, None);
         for i in (1..=argc).rev() {
             callee.locals[i] = st.stack.pop().expect("call underflow");
         }
         if recv_on_stack {
             st.stack.pop();
         }
-        self.depth += 1;
         st.pc += 1; // return address
         self.frames.push(std::mem::replace(st, callee));
         Flow::Switch
     }
 
-    /// `NewAlloc`: runs R-ALLOC with the executing frame parked where the
-    /// collector can see (and forward) its locals and operands, the
-    /// record values on top of them included; the resumed frame then
-    /// drops the values the allocation stored.
+    /// `NewAlloc`: R-ALLOC (Fig. 17) for the class its `NewResolve`
+    /// pushed, with the record values for `fields` on top of `st`'s
+    /// operand stack (GC roots like every operand) from the collection
+    /// point to the end. Without declared initialisers the allocation
+    /// finishes here. Otherwise `this` goes on top of the values, `st`
+    /// is parked at this instruction, and the first initialiser runs as an
+    /// ordinary pooled activation ([`Vm::init_returned`] takes it from
+    /// there); the whole initialiser sequence costs one unit of depth.
     fn op_new_alloc(&mut self, st: &mut ExecState, fields: &[Name]) -> Result<Flow, RtError> {
         let class = self.new_stack.pop().expect("unbalanced NewAlloc");
+        self.stats.allocs += 1;
+        if !matches!(self.plans.get(class.0 as usize), Some(Some(_))) {
+            self.build_plan(class);
+        }
+        // GC point: the only place the VM grows the heap. The object does
+        // not exist yet.
+        self.maybe_gc(st);
+        let plan = self.plan(class);
+        let (n_slots, masks, first) = (plan.n_slots, plan.this_masks, plan.inits.first().copied());
+        let this = RefVal {
+            loc: self.heap.alloc(n_slots),
+            view: class,
+            masks,
+        };
+        let Some(first) = first else {
+            self.finish_alloc(st, this, fields);
+            return Ok(Flow::Next);
+        };
+        rules::enter(&mut self.depth, self.max_depth)?;
+        st.stack.push(Value::Ref(this));
+        let n_locals = self.code.chunks[first.chunk].n_locals as usize;
+        let mut init = self.pool.pop().unwrap_or_default();
+        init.start(first.chunk, n_locals, this, Some(0));
+        self.frames.push(std::mem::replace(st, init));
+        Ok(Flow::Switch)
+    }
+
+    /// `Ret` from the activation `st` computing initialiser `i`, with
+    /// value `v`: stores `v` in the object whose `this` tops the operand
+    /// stack of the allocating frame parked beneath. Then `st` restarts
+    /// at the next initialiser or, after the last, the allocation's depth
+    /// unit is released, `st` is recycled, and the allocating frame
+    /// resumes past its `NewAlloc` with the finished allocation.
+    fn init_returned(&mut self, st: &mut ExecState, i: u32, v: Value) -> Flow {
+        let code = self.code;
+        let alloc = self.frames.last().expect("allocating frame");
+        let Some(&Value::Ref(this)) = alloc.stack.last() else {
+            unreachable!("`this` tops the allocating frame's operand stack");
+        };
+        let inits = &self.plan(this.view).inits;
+        let (InitStep { f, at, .. }, next) =
+            (inits[i as usize], inits.get(i as usize + 1).copied());
+        self.heap.set(this.loc, at.copy, at.slot, f, v);
+        if let Some(next) = next {
+            let n_locals = code.chunks[next.chunk].n_locals as usize;
+            st.start(next.chunk, n_locals, this, Some(i + 1));
+            return Flow::Switch;
+        }
+        self.depth -= 1;
+        let mut alloc = self.frames.pop().expect("allocating frame");
+        alloc.stack.pop();
+        let Instr::NewAlloc { fields } = &code.chunks[alloc.chunk].code[alloc.pc] else {
+            unreachable!("an allocating frame is parked at its `NewAlloc`");
+        };
+        self.finish_alloc(&mut alloc, this, fields);
+        alloc.pc += 1;
+        let done = std::mem::replace(st, alloc);
+        self.recycle(done);
+        Flow::Switch
+    }
+
+    /// The end of R-ALLOC on the allocating frame `st`: stores the record
+    /// values for `fields` (on top of its operand stack) in `this`'s
+    /// object and replaces them with the fresh reference. It keeps the
+    /// masks of the fields that neither an initialiser nor the record
+    /// covered; a fully initialised object ends with ∅, id 0 in every
+    /// table and interned without a lookup.
+    fn finish_alloc(&mut self, st: &mut ExecState, this: RefVal, fields: &[Name]) {
         let below = st.stack.len() - fields.len();
-        self.frames.push(std::mem::take(st));
-        let r = self.alloc_parked(class, fields);
-        *st = self.frames.pop().expect("parked frame");
-        st.stack.truncate(below);
-        st.stack.push(r?);
-        Ok(Flow::Next)
+        for (&f, v) in fields.iter().zip(st.stack.drain(below..)) {
+            let at = match self.plan(this.view).writes.iter().find(|(g, _)| *g == f) {
+                Some(&(_, at)) => at,
+                None => self.resolve_set(this.view, f),
+            };
+            self.heap.set(this.loc, at.copy, at.slot, f, v);
+        }
+        let uncovered = &self.plan(this.view).uncovered;
+        let masks = if uncovered.iter().all(|u| fields.contains(u)) {
+            BTreeSet::new()
+        } else {
+            uncovered
+                .iter()
+                .filter(|u| !fields.contains(u))
+                .copied()
+                .collect()
+        };
+        let masks = self.intern_masks(masks);
+        st.stack.push(Value::Ref(RefVal { masks, ..this }));
     }
 
     /// `(view T)e`.
@@ -1096,25 +1152,33 @@ impl<'p> Vm<'p> {
         Ok(Flow::Next)
     }
 
-    /// `Ret`: returns to the caller (recycling the finished activation)
-    /// or finishes this invocation.
+    /// `Ret`: hands an initialiser's value to its allocation, returns to
+    /// the caller (recycling the finished activation) or finishes the
+    /// run.
     fn op_ret(&mut self, st: &mut ExecState, base: usize) -> Flow {
         let v = st.stack.pop().unwrap_or(Value::Unit);
-        if self.frames.len() > base {
-            self.depth -= 1;
-            let caller = self.frames.pop().expect("frame under base");
-            let mut done = std::mem::replace(st, caller);
-            st.stack.push(v);
-            // Clear before pooling: recycled activations hold no values,
-            // so the pool is never a GC root and never goes stale across
-            // a compaction.
-            done.locals.clear();
-            done.stack.clear();
-            self.pool.push(done);
-            Flow::Switch
-        } else {
-            Flow::Done(v)
+        if let Some(i) = st.init {
+            return self.init_returned(st, i, v);
         }
+        if self.frames.len() == base {
+            return Flow::Done(v);
+        }
+        self.depth -= 1;
+        let caller = self.frames.pop().expect("frame under base");
+        let done = std::mem::replace(st, caller);
+        st.stack.push(v);
+        self.recycle(done);
+        Flow::Switch
+    }
+
+    /// Pools a finished activation, cleared first: recycled activations
+    /// hold no values, so the pool is never a GC root and never goes
+    /// stale across a compaction.
+    #[inline(always)]
+    fn recycle(&mut self, mut done: ExecState) {
+        done.locals.clear();
+        done.stack.clear();
+        self.pool.push(done);
     }
 
     // -------------------------------------------------------------- fields
@@ -1172,10 +1236,6 @@ impl<'p> Vm<'p> {
             }
             prim => Ok(prim),
         }
-    }
-
-    fn write_cell(&mut self, loc: Loc, copy: ClassId, slot: Option<u32>, f: Name, v: Value) {
-        self.heap.set(loc, copy, slot, f, v);
     }
 
     /// The read path of `f` in view `view`, resolved once per (view,
@@ -1236,126 +1296,6 @@ impl<'p> Vm<'p> {
 
     // -------------------------------------------------------------- alloc
 
-    /// R-ALLOC: allocates an instance, runs declared field initialisers
-    /// (most-base first), then stores the provided record values.
-    ///
-    /// The record values wait on a frame parked on the VM's frame stack
-    /// for the allocation, like a `new`'s, so a collection triggered
-    /// inside it sees and forwards them.
-    pub fn alloc(
-        &mut self,
-        class: ClassId,
-        provided: Vec<(Name, Value)>,
-    ) -> Result<Value, RtError> {
-        let (fields, stack): (Vec<Name>, Vec<Value>) = provided.into_iter().unzip();
-        self.frames.push(ExecState {
-            chunk: HOST_FRAME,
-            stack,
-            ..ExecState::default()
-        });
-        let r = self.alloc_parked(class, &fields);
-        self.frames.pop();
-        r
-    }
-
-    /// R-ALLOC with the record values for `fields` on top of the operand
-    /// stack of the last parked frame; they are stored from there, after
-    /// the declared initialisers, and left as `Unit`.
-    ///
-    /// The nascent object's `this` is parked on [`Vm::alloc_stack`], so a
-    /// collection triggered here — or inside a nested initialiser's own
-    /// allocations — forwards its ℓ with the record values and every
-    /// other root.
-    fn alloc_parked(&mut self, class: ClassId, fields: &[Name]) -> Result<Value, RtError> {
-        self.stats.allocs += 1;
-        if !matches!(self.plans.get(class.0 as usize), Some(Some(_))) {
-            self.build_plan(class);
-        }
-        self.alloc_stack.push(AllocScope { this_ref: None });
-        let guts = self.alloc_init(class);
-        let scope = self.alloc_stack.pop().expect("alloc scope");
-        if let Err(e) = guts {
-            self.stats.sync_gc(&self.heap.gc_stats());
-            return Err(e);
-        }
-        let loc = scope.this_ref.expect("this_ref set on success").loc;
-        // The initialisers have returned, so the parked frame is on top.
-        let parked = self.frames.len() - 1;
-        let top = self.frames[parked].stack.len() - fields.len();
-        for (i, &f) in fields.iter().enumerate() {
-            let at = match self.plan(class).writes.iter().find(|(g, _)| *g == f) {
-                Some(&(_, at)) => at,
-                None => self.resolve_set(class, f),
-            };
-            let v = std::mem::replace(&mut self.frames[parked].stack[top + i], Value::Unit);
-            self.write_cell(loc, at.copy, at.slot, f, v);
-        }
-        // The fresh reference keeps the masks of the fields that neither
-        // an initialiser nor the record covered. Fully initialised objects
-        // end with ∅, id 0 in every table and interned without a lookup.
-        let uncovered = &self.plan(class).uncovered;
-        let masks = if uncovered.iter().all(|u| fields.contains(u)) {
-            BTreeSet::new()
-        } else {
-            uncovered
-                .iter()
-                .filter(|u| !fields.contains(u))
-                .copied()
-                .collect()
-        };
-        let masks = self.intern_masks(masks);
-        self.stats.sync_gc(&self.heap.gc_stats());
-        Ok(Value::Ref(RefVal {
-            loc,
-            view: class,
-            masks,
-        }))
-    }
-
-    /// The GC-sensitive half of R-ALLOC: carves out the object and runs
-    /// `class`'s declared field initialisers, reading the object's current
-    /// ℓ back from the alloc scope after every step that may collect.
-    fn alloc_init(&mut self, class: ClassId) -> Result<(), RtError> {
-        // GC point: the only place the VM grows the heap. The record
-        // values are on the parked frame; the object does not exist yet.
-        self.maybe_gc();
-        let plan = self.plan(class);
-        let (n_slots, this_masks, n_inits) = (plan.n_slots, plan.this_masks, plan.inits.len());
-        let loc = self.heap.alloc(n_slots);
-        let scope = self.alloc_stack.len() - 1;
-        self.alloc_stack[scope].this_ref = Some(RefVal {
-            loc,
-            view: class,
-            masks: this_masks,
-        });
-        for i in 0..n_inits {
-            let InitStep { chunk, f, at } = self.plan(class).inits[i];
-            let this_ref = self.alloc_stack[scope].this_ref.expect("in-flight this");
-            let mut locals = vec![Value::Unit; self.code.chunks[chunk].n_locals as usize];
-            locals[0] = Value::Ref(this_ref);
-            // Initialiser chunks are the one place the VM still recurses
-            // natively; charge each nested run one recursion unit (as the
-            // interpreter does) so runaway initialiser recursion surfaces
-            // as `DepthExceeded` instead of exhausting the host stack.
-            if self.depth >= self.max_depth {
-                return Err(RtError::DepthExceeded(self.max_depth));
-            }
-            self.depth += 1;
-            let r = self.run_chunk(chunk, locals);
-            self.depth -= 1;
-            let v = r?;
-            // Re-read ℓ: a collection inside the initialiser forwards the
-            // scope's `this_ref` along with every other root.
-            let loc = self.alloc_stack[scope]
-                .this_ref
-                .as_ref()
-                .expect("in-flight this")
-                .loc;
-            self.write_cell(loc, at.copy, at.slot, f, v);
-        }
-        Ok(())
-    }
-
     /// `class`'s allocation plan (built by its first allocation).
     fn plan(&self, class: ClassId) -> &AllocPlan {
         self.plans[class.0 as usize]
@@ -1377,17 +1317,13 @@ impl<'p> Vm<'p> {
             }
         };
         let fields = prog.table.fields_of(class);
-        let inits: Box<[InitStep]> = fields
-            .iter()
-            .rev()
-            .filter(|(_, fi)| fi.has_init)
-            .filter_map(|(owner, fi)| {
-                let &chunk = code.field_inits.get(&(*owner, fi.name))?;
-                Some(InitStep {
-                    chunk,
-                    f: fi.name,
-                    at: at(fi.name),
-                })
+        let inits: Box<[InitStep]> = prog
+            .initialisers(&fields)
+            .into_iter()
+            .map(|(key, _)| InitStep {
+                chunk: code.field_inits[&key],
+                f: key.1,
+                at: at(key.1),
             })
             .collect();
         let names: BTreeSet<Name> = fields.iter().map(|(_, fi)| fi.name).collect();
@@ -1413,28 +1349,26 @@ impl<'p> Vm<'p> {
 
     // -------------------------------------------------------------- calls
 
-    /// Public view-based dispatch entry (mirrors `Machine::call`).
+    /// Public view-based dispatch entry (mirrors `Machine::call`): runs
+    /// the method in the same dispatch loop as [`Vm::run`].
     pub fn call(&mut self, r: RefVal, m: Name, args: Vec<Value>) -> Result<Value, RtError> {
         self.stats.calls += 1;
-        if self.depth >= self.max_depth {
-            return Err(RtError::DepthExceeded(self.max_depth));
-        }
-        let Some(chunk) = self.resolve_method(r.view, m) else {
-            return Err(rules::no_method(self.prog, r.view, m));
+        rules::enter(&mut self.depth, self.max_depth)?;
+        let out = match self.resolve_method(r.view, m) {
+            None => Err(rules::no_method(self.prog, r.view, m)),
+            Some(chunk) => {
+                let info = &self.code.chunks[chunk];
+                rules::check_arity(info.n_params as usize, args.len()).and_then(|()| {
+                    let mut locals = vec![Value::Unit; info.n_locals as usize];
+                    locals[0] = Value::Ref(r);
+                    for (i, v) in args.into_iter().enumerate() {
+                        locals[1 + i] = v;
+                    }
+                    self.run_frames(chunk, locals)
+                })
+            }
         };
-        let info = &self.code.chunks[chunk];
-        if info.n_params as usize != args.len() {
-            return Err(RtError::TypeMismatch("arity".into()));
-        }
-        let mut locals = vec![Value::Unit; info.n_locals as usize];
-        locals[0] = Value::Ref(r);
-        for (i, v) in args.into_iter().enumerate() {
-            locals[1 + i] = v;
-        }
-        self.depth += 1;
-        let out = self.run_chunk(chunk, locals);
         self.depth -= 1;
-        self.stats.sync_gc(&self.heap.gc_stats());
         out
     }
 

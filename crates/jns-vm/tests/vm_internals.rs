@@ -25,6 +25,7 @@ fn run_vm(p: &jns_types::CheckedProgram, cfg: RunConfig) -> Result<(Vec<String>,
     Ok((vm.output, vm.stats))
 }
 
+/// Two families sharing `C` and `D`; `main`'s value is `new A1.C()`.
 fn sharing_program() -> jns_types::CheckedProgram {
     checked(
         "class A1 {
@@ -36,13 +37,14 @@ fn sharing_program() -> jns_types::CheckedProgram {
            class E extends D { int extra = 2; }
            class C shares A1.C\\g { int probe() { return 100 + this.g.tag; } }
          }
-         main { print 0; }",
+         main { new A1.C(); }",
     )
 }
 
-/// Direct API: alloc runs initialisers, view finds the unique partner,
-/// dispatch through the new view runs the override with §3.3 forwarding —
-/// the same contract as `Machine`'s API tests.
+/// Direct API: the object `run` returns had its initialisers run, view
+/// finds the unique partner, dispatch through the new view runs the
+/// override with §3.3 forwarding — the same contract as `Machine`'s API
+/// tests.
 #[test]
 fn direct_api_alloc_view_call() {
     let p = sharing_program();
@@ -56,8 +58,9 @@ fn direct_api_alloc_view_call() {
         .table
         .lookup_path(&[p.table.intern("A2"), p.table.intern("C")])
         .unwrap();
-    let v = vm.alloc(a1c, vec![]).unwrap();
+    let v = vm.run().unwrap();
     let r = *v.as_ref_val().unwrap();
+    assert_eq!(r.view, a1c);
     assert!(r.masks.is_empty(), "all fields initialised: {:?}", r.masks);
     // Dispatch through the allocation view: A1's probe.
     let probe = p.table.intern("probe");
@@ -89,49 +92,45 @@ fn direct_api_alloc_view_call() {
     assert_eq!(m.stats.calls, vm.stats.calls);
 }
 
-/// `Vm::alloc` holds its record values on a parked frame that runs no
-/// chunk: a collection inside the initialisers forwards them like any
-/// operand, and a sampler on every instruction sees only the
-/// initialiser chunks.
+/// An error deep inside nested initialisers leaves no residue on the VM:
+/// each failed `call` releases the depth its allocations held and drops
+/// their parked frames, so the next call has its full depth budget and
+/// every sampled stack of it starts at its own method.
 #[test]
-fn direct_alloc_parks_record_values_outside_sampled_stacks() {
+fn errors_inside_initialisers_leave_no_residue() {
     let p = checked(
         "class A {
-           class D { int tag = 1; }
-           class C { D g = new D(); D h; }
+           class N { A.N next = new A.N(); }
+           class R {
+             int go(int n) { if (n < 1) { return 0; } else { return this.go(n - 1) + 1; } }
+             A.N make() { return new A.N(); }
+           }
          }
-         main { print 0; }",
+         main { new A.R(); }",
     );
     let code = compile(&p);
-    let mut vm = Vm::new(&p, &code).with_config(RunConfig {
-        heap_limit: Some(1),
-        ..RunConfig::default()
-    });
+    let mut vm = Vm::new(&p, &code).with_max_depth(50);
     vm.set_sample_stride(1);
-    let class = |name: &str| {
-        p.table
-            .lookup_path(&[p.table.intern("A"), p.table.intern(name)])
-            .unwrap()
-    };
-    let [tag, h] = ["tag", "h"].map(|f| p.table.intern(f));
-    let d = vm.alloc(class("D"), vec![(tag, Value::Int(7))]).unwrap();
-    // `d` is held only by the record while `g`'s initialiser collects.
-    let c = vm.alloc(class("C"), vec![(h, d)]).unwrap();
-    assert!(vm.stats.gc_runs > 0, "the collector never ran");
-    let c = *c.as_ref_val().unwrap();
-    assert!(c.masks.is_empty(), "{:?}", c.masks);
-    let held = vm.get_field(&c, h).unwrap();
-    assert_eq!(
-        vm.get_field(held.as_ref_val().unwrap(), tag).unwrap(),
-        Value::Int(7)
-    );
+    let r = *vm.run().unwrap().as_ref_val().unwrap();
+    let [go, make] = ["go", "make"].map(|m| p.table.intern(m));
+    for _ in 0..3 {
+        let err = vm.call(r, make, vec![]).unwrap_err();
+        assert_eq!(err, RtError::DepthExceeded(50));
+        assert_eq!(
+            vm.call(r, go, vec![Value::Int(48)]).unwrap(),
+            Value::Int(48)
+        );
+    }
     let stacks = vm.folded_samples();
-    assert!(!stacks.is_empty());
+    let go_chunk = &code.chunks[code.methods[&(r.view, go)]].name;
+    let in_go: Vec<_> = stacks
+        .iter()
+        .filter(|(s, _)| s.contains(go_chunk.as_str()))
+        .collect();
+    assert!(!in_go.is_empty());
     assert!(
-        stacks
-            .iter()
-            .all(|(s, _)| s.starts_with("A.C.g=") || s.starts_with("A.D.tag=")),
-        "{stacks:?}"
+        in_go.iter().all(|(s, _)| s.starts_with(go_chunk.as_str())),
+        "{in_go:?}"
     );
 }
 

@@ -1,10 +1,12 @@
-//! Stack-safety suite: deep J&s recursion and deep expression nesting
-//! must never abort the process. Both backends run on explicit
+//! Stack-safety suite: deep J&s recursion — through method calls or
+//! through field initialisers that allocate — and deep expression
+//! nesting must never abort the process. Both backends run on explicit
 //! heap-allocated stacks — the tree-walking interpreter is a CEK-style
 //! machine over control/value stacks, the VM keeps an explicit frame
-//! vector — so the only limits are heap memory and the configurable
-//! recursion-depth knob, whose exhaustion is the benign
-//! [`RtError::DepthExceeded`].
+//! vector in one dispatch loop that never re-enters itself, with an
+//! allocation in flight parked as a frame — so the only limits are heap
+//! memory and the configurable recursion-depth knob, whose exhaustion is
+//! the benign [`RtError::DepthExceeded`].
 //!
 //! To make a regression to native recursion fail loudly, evaluation runs
 //! on deliberately *small* spawned-thread stacks ([`SMALL_STACK`], far
@@ -19,6 +21,7 @@
 use jns_core::{Backend, Compiler, Error};
 use jns_eval::{Machine, RtError, Value, DEFAULT_MAX_DEPTH};
 use proptest::prelude::*;
+use std::process::Command;
 
 /// 1 MiB: comfortably holds the evaluators' constant-depth loops, but is
 /// ~40× too small for the old per-node native recursion at depth 10k in
@@ -46,19 +49,24 @@ fn on_stack<T: Send>(stack: usize, f: impl FnOnce() -> T + Send) -> T {
     })
 }
 
+/// A class whose `go(n)` recurses `n + 1` activations deep.
+const REC_CLASS: &str = "class Rec {
+           class R {
+             int go(int n) {
+               if (n < 1) { return 0; } else { return this.go(n - 1) + 1; }
+             }
+           }
+         }";
+
 /// A J&s program whose `main` recurses `n + 1` activations deep.
 fn rec_program(n: u64) -> String {
-    format!(
-        "class Rec {{
-           class R {{
-             int go(int n) {{
-               if (n < 1) {{ return 0; }} else {{ return this.go(n - 1) + 1; }}
-             }}
-           }}
-         }}
-         main {{ final Rec.R r = new Rec.R(); print r.go({n}); }}"
-    )
+    format!("{REC_CLASS} main {{ final Rec.R r = new Rec.R(); print r.go({n}); }}")
 }
+
+/// A well-typed program whose first allocation never ends: every `N`'s
+/// declared initialiser allocates the next `N`, one depth unit each.
+const ENDLESS_INITIALISERS: &str =
+    "class A { class N { A.N next = new A.N(); } } main { final A.N n = new A.N(); print 1; }";
 
 fn outputs(compiled: &jns_core::Compiled, backend: Backend) -> Result<Vec<String>, RtError> {
     match compiled.run_on(backend) {
@@ -103,6 +111,48 @@ fn deep_recursion_default_limit_is_a_clean_error() {
             assert!(err.is_benign());
         }
     });
+}
+
+/// Nested field initialisers never touch the host stack: the endless
+/// initialiser chain reaches a 100,000-deep limit on a 1 MiB stack and
+/// ends in the same clean error on both backends.
+#[test]
+fn nested_initialisers_reach_the_depth_limit_on_both_backends() {
+    let compiled = Compiler::new()
+        .with_max_depth(100_000)
+        .compile(ENDLESS_INITIALISERS)
+        .unwrap();
+    compiled.bytecode();
+    on_stack(SMALL_STACK, move || {
+        for backend in [Backend::TreeWalk, Backend::Vm] {
+            let err = outputs(&compiled, backend).unwrap_err();
+            assert_eq!(err, RtError::DepthExceeded(100_000), "{backend:?}");
+        }
+    });
+}
+
+/// The shipped `jns serve`, with default flags (default worker stacks and
+/// depth limit), answers every request for the endless initialiser chain
+/// with the depth error and exits 1 instead of aborting the process.
+#[test]
+fn serve_answers_endless_initialisers_with_a_depth_error() {
+    let dir = std::env::temp_dir().join(format!("jns-deep-init-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("endless.jns");
+    std::fs::write(&path, ENDLESS_INITIALISERS).expect("write program");
+    let out = Command::new(env!("CARGO_BIN_EXE_jns"))
+        .args(["serve", "--workers", "2", "--requests", "4"])
+        .arg(&path)
+        .output()
+        .expect("spawn jns");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        err.contains("runtime error: depth limit exceeded: recursion deeper than 2000"),
+        "{err}"
+    );
+    assert!(err.contains("4 requests (0 ok)"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// 10,000-deep expression nesting (a left-leaning `+` spine) evaluates on
@@ -230,7 +280,7 @@ fn long_heap_chain_teardown_is_iterative() {
 /// machine still has its full depth budget.
 #[test]
 fn machine_is_reusable_after_errors() {
-    let prog = jns_syntax::parse(&rec_program(0)).unwrap();
+    let prog = jns_syntax::parse(&format!("{REC_CLASS} main {{ new Rec.R(); }}")).unwrap();
     let checked = jns_types::check(&prog).unwrap();
     let r_class = checked
         .table
@@ -254,11 +304,12 @@ fn machine_is_reusable_after_errors() {
         );
     }
 
-    // Same contract on the VM.
+    // Same contract on the VM, whose receiver is `main`'s value.
     let code = jns_vm::compile(&checked);
     let mut vm = jns_vm::Vm::new(&checked, &code).with_max_depth(50);
-    let obj = vm.alloc(r_class, vec![]).unwrap();
+    let obj = vm.run().unwrap();
     let r = *obj.as_ref_val().unwrap();
+    assert_eq!(r.view, r_class);
     assert_eq!(
         vm.call(r, go, vec![Value::Int(48)]).unwrap(),
         Value::Int(48)

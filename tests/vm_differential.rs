@@ -258,7 +258,8 @@ type AllocCase = (
 );
 
 /// R-ALLOC (Fig. 17) on both engines: inherited initialisers run
-/// base-most class first; a record value overrides a declared
+/// base-most class first, and a class's own in declaration order; a
+/// record value overrides a declared
 /// initialiser of the same field (which still runs); two sites of one
 /// class that provide different fields leave different masks on their
 /// fresh references; and a record writes the copy of a field its class
@@ -283,7 +284,7 @@ fn allocation_order_and_record_semantics_are_equivalent() {
              }}"
         )
     };
-    let cases: [AllocCase; 5] = [
+    let cases: [AllocCase; 6] = [
         (
             "initialisers_base_most_first",
             r#"class A {
@@ -295,6 +296,19 @@ fn allocation_order_and_record_semantics_are_equivalent() {
                main { final A.E x = new A.E(); print "done"; x; }"#
                 .into(),
             &["B", "D", "E", "done"],
+            &[],
+            [2, 2],
+        ),
+        (
+            "initialisers_in_declaration_order_within_a_class",
+            r#"class A {
+                 class Log { int say(str s, int v) { print s; return v; } }
+                 class C { int x = new Log().say("init x", 1); int y = new Log().say("init y", 2); }
+                 class D extends C { int z = new Log().say("init z", 3); int w = new Log().say("init w", 4); }
+               }
+               main { final A.D d = new A.D(); print d.x + d.y + d.z + d.w; d; }"#
+                .into(),
+            &["init x", "init y", "init z", "init w", "10"],
             &[],
             [2, 2],
         ),
